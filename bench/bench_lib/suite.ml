@@ -71,7 +71,7 @@ let time_engine ?(runs = 3) prov ~engine ?(params = []) q =
   | exception Engine_intf.Unsupported _ -> None
   | prepared, _ ->
     let consts = Lq_expr.Shape.consts (Provider.optimized prov q) in
-    let params = params @ Lq_core.Query_cache.const_params consts in
+    let params = params @ Lq_expr.Shape.const_params consts in
     let run () =
       let t0 = Profile.now_ms () in
       let result = prepared.Engine_intf.execute ~params () in
@@ -88,7 +88,7 @@ let profile_engine prov ~engine ?(params = []) q =
   | exception Engine_intf.Unsupported _ -> None
   | prepared, _ ->
     let consts = Lq_expr.Shape.consts (Provider.optimized prov q) in
-    let params = params @ Lq_core.Query_cache.const_params consts in
+    let params = params @ Lq_expr.Shape.const_params consts in
     ignore (prepared.Engine_intf.execute ~params ());
     let profile = Profile.create () in
     ignore (prepared.Engine_intf.execute ~profile ~params ());

@@ -138,7 +138,7 @@ let run_child () =
   | prepared, _ ->
     if !setup_only then exit 0;
     let consts = Lq_expr.Shape.consts (Lq_core.Provider.optimized prov (snd q)) in
-    let params = Suite.query_params @ Lq_core.Query_cache.const_params consts in
+    let params = Suite.query_params @ Lq_expr.Shape.const_params consts in
     let rows = prepared.Engine_intf.execute ~params () in
     Printf.printf "rows=%d\n" (List.length rows);
     exit 0

@@ -43,7 +43,7 @@ let () =
       | prepared, _ ->
         Printf.printf "code generation: %.2f ms\n" prepared.Engine_intf.codegen_ms;
         let consts = Lq_expr.Shape.consts (Lq_core.Provider.optimized provider q) in
-        let params = params @ Lq_core.Query_cache.const_params consts in
+        let params = params @ Lq_expr.Shape.const_params consts in
         let profile = Lq_metrics.Profile.create () in
         let t0 = Unix.gettimeofday () in
         let rows = prepared.Engine_intf.execute ~profile ~params () in

@@ -127,11 +127,6 @@ let tenv t ~params =
       | None -> Lq_expr.Typecheck.error "unknown parameter %S" name)
     ()
 
-let infer_param_types _t ~params =
-  List.filter_map
-    (fun (name, v) -> Option.map (fun ty -> (name, ty)) (Value.type_of v))
-    params
-
 (* --- hash indexes (§9 future work) --- *)
 
 let create_index t ~table:tname ~column =

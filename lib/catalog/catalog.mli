@@ -97,7 +97,3 @@ val eval_ctx : t -> params:(string * Value.t) list -> Lq_expr.Eval.ctx
 
 val tenv : t -> params:(string * Vtype.t) list -> Lq_expr.Typecheck.tenv
 (** Typing environment: sources resolve to their element types. *)
-
-val infer_param_types :
-  t -> params:(string * Value.t) list -> (string * Vtype.t) list
-(** Parameter typings derived from bound values. *)

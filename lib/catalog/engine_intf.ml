@@ -56,6 +56,20 @@ let execution_failed fmt =
     (fun s -> raise (Lq_fault.Fault (Lq_fault.make ~stage:"execute" Lq_fault.Internal s)))
     fmt
 
+let register image params name =
+  match List.assoc_opt name params with
+  | None -> execution_failed "unbound query parameter %S" name
+  | Some v -> (
+    match image v with
+    | Some x -> x
+    | None ->
+      execution_failed "parameter %S: no register image for %s" name (Lq_value.Value.to_string v))
+
+let int_register dict =
+  register (Lq_expr.Typed.int_image ~intern:(Lq_storage.Dict.intern dict))
+
+let float_register params name = register Lq_expr.Typed.float_image params name
+
 (* Engine refusals are part of the fault taxonomy: anything that ends up
    stringifying exceptions (the service, chaos reports) sees a typed
    [Unsupported] fault instead of a raw exception name. *)

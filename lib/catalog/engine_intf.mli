@@ -74,3 +74,12 @@ val execution_failed : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Loading this module also registers an {!Lq_fault} classifier mapping
     {!Unsupported} to the [Unsupported] fault kind, so every layer above
     sees engine refusals typed. *)
+
+(** {2 Parameter registers of the flat backends}
+
+    The register image of a bound parameter ([Lq_expr.Typed.int_image],
+    interning strings in the dictionary, or [float_image]). Each raises a
+    typed [Internal] fault on an unbound or ill-typed parameter. *)
+
+val int_register : Lq_storage.Dict.t -> (string * Lq_value.Value.t) list -> string -> int
+val float_register : (string * Lq_value.Value.t) list -> string -> float

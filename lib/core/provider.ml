@@ -126,7 +126,7 @@ let prepare_only t ~engine q =
 
 let run t ~engine ?(params = []) ?profile ?checkpoint q =
   let prepared, _, shape, consts = prepare_internal t ~engine ?checkpoint q in
-  let all_params = params @ Query_cache.const_params consts in
+  let all_params = params @ Shape.const_params consts in
   let execute () =
     Trace.with_span Trace.Execute engine.Engine_intf.name (fun () ->
         Lq_fault.Inject.hit "provider/execute";
@@ -218,7 +218,7 @@ let report t =
 let run_instrumented t ~engine ?(params = []) hierarchy q =
   let instr = Lq_catalog.Instr.of_hierarchy hierarchy in
   let prepared, _, _, consts = prepare_internal t ~engine ~instr q in
-  let params = params @ Query_cache.const_params consts in
+  let params = params @ Shape.const_params consts in
   prepared.Engine_intf.execute ~params ()
 
 let reference t ?(params = []) q =

@@ -130,6 +130,3 @@ let clear t =
   locked t (fun () ->
       Lru.clear t.lru;
       Counters.reset t.counters)
-
-let const_params consts =
-  List.mapi (fun i v -> (Printf.sprintf "__c%d" i, v)) consts

@@ -19,8 +19,6 @@
     cache while one of them compiles; two Domains racing to compile the
     same shape at worst duplicate one compilation. *)
 
-open Lq_value
-
 type admission =
   | Admit_all  (** plain LRU: the newcomer always displaces the victim *)
   | Cost_aware of float
@@ -70,7 +68,3 @@ val engines : t -> string list
 
 val clear : t -> unit
 (** Drops all plans and resets every counter. *)
-
-val const_params : Value.t list -> (string * Value.t) list
-(** Parameter bindings ["__c0"], ["__c1"], ... for an extracted constant
-    vector, matching {!Lq_expr.Shape.parameterize}. *)

@@ -23,17 +23,19 @@
      returns the TOTAL row count; rows past [cap] are counted but not
      written, so the caller grows the buffer and re-invokes.
 
-   Semantics mirror [Nplan] closure by closure: the same expression
-   typing and coercions as [Nexpr.compile], dense hash slots in
-   first-touch insertion order, join chains in attach order, sort
-   comparators with the index tiebreak, limits as stop flags. On any
-   plan the mirror cannot carry, [emit_plan] raises [Unsupported_c] and
-   the JIT keeps serving the shape from the interpreted tier.
-   Allocation failures longjmp to a single exit that frees the per-call
-   arena and returns -1. *)
+   Semantics mirror [Nplan] closure by closure: expressions are emitted
+   from the same [Lq_expr.Typed] form [Nexpr.compile] emits closures
+   from, hash slots are dense in first-touch insertion order, join chains
+   in attach order, sort comparators end with the index tiebreak, limits
+   are stop flags. On any plan the mirror cannot carry, [emit_plan]
+   raises [Unsupported_c] and the JIT keeps serving the shape from the
+   interpreted tier. Allocation failures longjmp to a single exit that
+   frees the per-call arena and returns -1; an integer division by zero
+   leaves the same way and returns [div_by_zero]. *)
 
 open Lq_value
 module Ast = Lq_expr.Ast
+module Typed = Lq_expr.Typed
 module P = Lq_plan.Plan
 module Layout = Lq_storage.Layout
 module Ftype = Lq_storage.Ftype
@@ -47,6 +49,9 @@ let spf = Printf.sprintf
 (* The entry-point contract above; bump when it changes so cached .so
    files from older emitters are never dlopened. *)
 let abi_version = 1
+
+(* the arena exit code the prelude's lq_idiv/lq_imod set *)
+let div_by_zero = -2
 
 type cparam =
   | Named of string  (** a query parameter, bound by name at execute *)
@@ -62,7 +67,7 @@ type program = {
   needs_dict : bool;
 }
 
-(* --- C expressions and elements, mirroring Nexpr.t / Nexpr.elem ----- *)
+(* --- C expressions and elements --------------------------------------- *)
 
 (* [CI] is an int64_t-valued C expression carrying the host type it
    decodes to (Int / Date / Bool / String dict code); [CF] a double;
@@ -138,7 +143,7 @@ let c_string_lit s =
   Buffer.add_char b '"';
   Buffer.contents b
 
-(* --- typed accessors, mirroring Nexpr ------------------------------- *)
+(* --- typed accessors ------------------------------------------------ *)
 
 let vty_of = function
   | CI (_, ty) -> ty
@@ -152,14 +157,11 @@ let as_int = function
 
 let as_float = function
   | CF code -> code
-  | CI (code, Vtype.Int) -> spf "((double)%s)" code
-  | CI (_, ty) -> unsupported "cannot use %s as float (C)" (Vtype.to_string ty)
-  | CB _ -> unsupported "cannot use bool as float (C)"
+  | CI _ | CB _ -> unsupported "expected a float-typed C expression"
 
 let as_bool = function
   | CB code -> code
-  | CI (code, Vtype.Bool) -> spf "(%s != 0)" code
-  | CI (_, ty) -> unsupported "expected bool, found %s (C)" (Vtype.to_string ty)
+  | CI (code, _) -> spf "(%s != 0)" code
   | CF _ -> unsupported "expected bool, found float (C)"
 
 (* One int64 hash part per field: float bits fit a whole part here
@@ -186,210 +188,118 @@ let celem_fields = function
   | CFields fs -> fs
   | CScalar t -> [ (Nexpr.scalar_field, t) ]
 
-(* --- expression compilation, mirroring Nexpr.compile ---------------- *)
+(* --- expression emission from the typed form ------------------------ *)
 
-type pre = T of cexp | Pp of string
-
-let force c = function
-  | T t -> t
-  | Pp name -> CI (spf "ip[%d]" (islot c (Named name)), Vtype.Int)
-
-let coerce_like c pre ~like =
-  match pre with
-  | T t -> t
-  | Pp name -> (
-    match like with
-    | CF _ -> CF (spf "fp[%d]" (fslot c name))
-    | CI (_, ty) -> CI (spf "ip[%d]" (islot c (Named name)), ty)
-    | CB _ -> CB (spf "(ip[%d] != 0)" (islot c (Named name))))
-
-let static_string (e : Ast.expr) =
-  match e with Ast.Const (Value.Str s) -> Some s | _ -> None
-
-let cmp_op (op : Ast.binop) =
+let cmp_op (op : Typed.cmp) =
   match op with
-  | Ast.Eq -> "=="
-  | Ast.Ne -> "!="
-  | Ast.Lt -> "<"
-  | Ast.Le -> "<="
-  | Ast.Gt -> ">"
-  | Ast.Ge -> ">="
-  | _ -> assert false
+  | Typed.Eq -> "=="
+  | Typed.Ne -> "!="
+  | Typed.Lt -> "<"
+  | Typed.Le -> "<="
+  | Typed.Gt -> ">"
+  | Typed.Ge -> ">="
 
 let no_agg _ _ _ = unsupported "aggregate outside a group context (C)"
 let no_subquery _ = unsupported "nested sub-query (C backend)"
 
-let compile c ~env ?(on_agg = no_agg) ?(on_subquery = no_subquery) expr : cexp =
-  let rec go (e : Ast.expr) : pre =
-    match e with
-    | Ast.Const (Value.Int i) -> T (CI (spf "INT64_C(%d)" i, Vtype.Int))
-    | Ast.Const (Value.Date d) -> T (CI (spf "INT64_C(%d)" d, Vtype.Date))
-    | Ast.Const (Value.Bool b) -> T (CB (if b then "1" else "0"))
-    | Ast.Const (Value.Float f) ->
-      if not (Float.is_finite f) then
-        unsupported "non-finite float constant (C)";
-      T (CF (spf "%h" f))
-    | Ast.Const (Value.Str s) ->
-      (* Dictionary codes are process state: route the literal through a
-         synthetic integer register, interned by the caller at bind
-         time. *)
-      T (CI (spf "ip[%d]" (islot c (Str_const s)), Vtype.String))
-    | Ast.Const v -> unsupported "constant %s (C)" (Value.to_string v)
-    | Ast.Param name -> Pp name
-    | Ast.Var name -> (
-      match List.assoc_opt name env with
-      | Some (CScalar t) -> T t
-      | Some (CRow _ | CFields _) ->
-        unsupported "whole-element use of %S (C backend reads scalars)" name
-      | None -> unsupported "unbound variable %S (C)" name)
-    | Ast.Member (Ast.Var name, field) -> (
-      match List.assoc_opt name env with
-      | Some (CRow (base, layout)) -> (
-        match Layout.field_index layout field with
-        | Some i -> T (read_field base (Layout.field_at layout i))
-        | None -> unsupported "row has no member %S (C)" field)
-      | Some (CFields fields) -> (
-        match List.assoc_opt field fields with
-        | Some t -> T t
-        | None -> unsupported "element has no member %S (C)" field)
-      | Some (CScalar _) -> unsupported "member %S of a scalar (C)" field
-      | None -> unsupported "unbound variable %S (C)" name)
-    | Ast.Member (_, field) ->
-      unsupported "nested member access .%s (flat C data only)" field
-    | Ast.Unop (Ast.Neg, e) -> (
-      match force c (go e) with
-      | CI (code, Vtype.Int) -> T (CI (spf "(-%s)" code, Vtype.Int))
-      | CF code -> T (CF (spf "(-%s)" code))
-      | _ -> unsupported "negation of non-numeric (C)")
-    | Ast.Unop (Ast.Not, e) -> T (CB (spf "(!%s)" (as_bool (force c (go e)))))
-    | Ast.Binop (Ast.And, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (CB (spf "(%s && %s)" fa fb))
-    | Ast.Binop (Ast.Or, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (CB (spf "(%s || %s)" fa fb))
-    | Ast.Binop (op, a, b) ->
-      let pa = go a and pb = go b in
-      let ta, tb =
-        match (pa, pb) with
-        | T ta, T tb -> (ta, tb)
-        | T ta, (Pp _ as pb) -> (ta, coerce_like c pb ~like:ta)
-        | (Pp _ as pa), T tb -> (coerce_like c pa ~like:tb, tb)
-        | (Pp _ as pa), (Pp _ as pb) -> (
-          match op with
-          | Ast.Div | Ast.Mod ->
-            unsupported "integer-or-float division of two parameters (C)"
-          | _ ->
-            let like = CF "0.0" in
-            (coerce_like c pa ~like, coerce_like c pb ~like))
-      in
-      compile_binop op ta tb
-    | Ast.If (cond, th, el) -> (
-      let fc = as_bool (force c (go cond)) in
-      let pt = go th and pe = go el in
-      let tt, te =
-        match (pt, pe) with
-        | T a, T b -> (a, b)
-        | T a, (Pp _ as pb) -> (a, coerce_like c pb ~like:a)
-        | (Pp _ as pa), T b -> (coerce_like c pa ~like:b, b)
-        | (Pp _ as pa), (Pp _ as pb) -> (force c pa, force c pb)
-      in
-      match (tt, te) with
-      | CI (f1, ty1), CI (f2, ty2) when Vtype.equal ty1 ty2 ->
-        T (CI (spf "(%s ? %s : %s)" fc f1 f2, ty1))
-      | CB f1, CB f2 -> T (CB (spf "(%s ? %s : %s)" fc f1 f2))
-      | (CF _ | CI (_, Vtype.Int)), (CF _ | CI (_, Vtype.Int)) ->
-        let f1 = as_float tt and f2 = as_float te in
-        T (CF (spf "(%s ? %s : %s)" fc f1 f2))
-      | _ -> unsupported "if branches of mismatched C types")
-    | Ast.Call (f, args) -> T (compile_call f args)
-    | Ast.Agg (kind, src, sel) -> T (on_agg kind src sel)
-    | Ast.Subquery q -> T (on_subquery q)
-    | Ast.Record_of _ ->
-      unsupported "object construction inside a C scalar expression"
-  and compile_binop op ta tb : pre =
-    match op with
-    | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> (
-      match (ta, tb) with
-      | CI (fa, Vtype.Int), CI (fb, Vtype.Int) ->
-        let code =
-          match op with
-          | Ast.Add -> spf "(%s + %s)" fa fb
-          | Ast.Sub -> spf "(%s - %s)" fa fb
-          | Ast.Mul -> spf "(%s * %s)" fa fb
-          (* C99 [/] and [%] truncate toward zero: OCaml (/) and (mod). *)
-          | Ast.Div -> spf "(%s / %s)" fa fb
-          | Ast.Mod -> spf "(%s %% %s)" fa fb
-          | _ -> assert false
-        in
-        T (CI (code, Vtype.Int))
-      | (CF _ | CI (_, Vtype.Int)), (CF _ | CI (_, Vtype.Int)) ->
-        let fa = as_float ta and fb = as_float tb in
-        let code =
-          match op with
-          | Ast.Add -> spf "(%s + %s)" fa fb
-          | Ast.Sub -> spf "(%s - %s)" fa fb
-          | Ast.Mul -> spf "(%s * %s)" fa fb
-          | Ast.Div -> spf "(%s / %s)" fa fb
-          | Ast.Mod -> spf "fmod(%s, %s)" fa fb (* = OCaml Float.rem *)
-          | _ -> assert false
-        in
-        T (CF code)
-      | _ ->
-        unsupported "arithmetic on %s and %s (C)"
-          (Vtype.to_string (vty_of ta))
-          (Vtype.to_string (vty_of tb)))
-    | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-      match (ta, tb) with
-      | CI (fa, Vtype.String), CI (fb, Vtype.String) -> (
-        match op with
-        | Ast.Eq -> T (CB (spf "(%s == %s)" fa fb))
-        | Ast.Ne -> T (CB (spf "(%s != %s)" fa fb))
-        | _ ->
-          (* Ordering decodes: dict codes are not order-preserving. *)
-          c.needs_dict <- true;
-          T (CB (spf "(lq_strcmp(db, dofs, %s, %s) %s 0)" fa fb (cmp_op op))))
-      | CI (fa, ty1), CI (fb, ty2) when Vtype.equal ty1 ty2 ->
-        T (CB (spf "(%s %s %s)" fa (cmp_op op) fb))
-      | (CF _ | CI (_, Vtype.Int)), (CF _ | CI (_, Vtype.Int)) ->
-        (* NaN-free data: IEEE compare agrees with OCaml Float.compare. *)
-        let fa = as_float ta and fb = as_float tb in
-        T (CB (spf "(%s %s %s)" fa (cmp_op op) fb))
-      | CB fa, CB fb -> T (CB (spf "(%s %s %s)" fa (cmp_op op) fb))
-      | _ ->
-        unsupported "comparison between %s and %s (C)"
-          (Vtype.to_string (vty_of ta))
-          (Vtype.to_string (vty_of tb)))
-    | Ast.And | Ast.Or -> assert false
-  and compile_call f args : cexp =
-    let force_string e = coerce_like c (go e) ~like:(CI ("0", Vtype.String)) in
-    let force_date e = coerce_like c (go e) ~like:(CI ("0", Vtype.Date)) in
-    let string_code t =
-      match t with
-      | CI (code, Vtype.String) -> code
-      | _ -> unsupported "expected a string-typed C expression"
+let rec emit c env (e : cexp Typed.t) : cexp =
+  (* Operands in order, except that a bare parameter on the left takes its
+     register after its sibling's: register numbering, and with it the
+     emitted text, stays what it has always been. *)
+  let both as_x a b =
+    let f e = as_x (emit c env e) in
+    match a.Typed.node with
+    | Typed.Param _ ->
+      let y = f b in
+      (f a, y)
+    | _ ->
+      let x = f a in
+      (x, f b)
+  in
+  let infix as_x fmt a b =
+    let x, y = both as_x a b in
+    spf fmt x y
+  in
+  let int e = as_int (emit c env e) and bool e = as_bool (emit c env e) in
+  match e.Typed.node with
+  | Typed.Const (Value.Int i | Value.Date i) -> CI (spf "INT64_C(%d)" i, e.Typed.ty)
+  | Typed.Const (Value.Bool b) -> CB (if b then "1" else "0")
+  | Typed.Const (Value.Float f) ->
+    if not (Float.is_finite f) then unsupported "non-finite float constant (C)";
+    CF (spf "%h" f)
+  | Typed.Const (Value.Str s) ->
+    (* Dictionary codes are process state: route the literal through a
+       synthetic integer register, interned by the caller at bind time. *)
+    CI (spf "ip[%d]" (islot c (Str_const s)), Vtype.String)
+  | Typed.Const v -> unsupported "constant %s (C)" (Value.to_string v)
+  | Typed.Param name -> (
+    match e.Typed.ty with
+    | Vtype.Float -> CF (spf "fp[%d]" (fslot c name))
+    | Vtype.Bool -> CB (spf "(ip[%d] != 0)" (islot c (Named name)))
+    | ty -> CI (spf "ip[%d]" (islot c (Named name)), ty))
+  | Typed.Var name -> (
+    match List.assoc name env with CScalar t -> t | CRow _ | CFields _ -> assert false)
+  | Typed.Field (name, field) -> (
+    match List.assoc name env with
+    | CRow (base, layout) ->
+      read_field base (Layout.field_at layout (Layout.field_index_exn layout field))
+    | CFields fields -> List.assoc field fields
+    | CScalar _ -> assert false)
+  | Typed.Nested t -> t
+  | Typed.To_float x -> CF (spf "((double)%s)" (int x))
+  | Typed.Neg x -> (
+    match emit c env x with
+    | CF code -> CF (spf "(-%s)" code)
+    | t -> CI (spf "(-%s)" (as_int t), Vtype.Int))
+  | Typed.Not x -> CB (spf "(!%s)" (bool x))
+  | Typed.And (a, b) -> CB (infix as_bool "(%s && %s)" a b)
+  | Typed.Or (a, b) -> CB (infix as_bool "(%s || %s)" a b)
+  | Typed.Arith (op, a, b) -> (
+    let as_x = if Vtype.equal e.Typed.ty Vtype.Float then as_float else as_int in
+    let code =
+      match op with
+      | Typed.Add -> infix as_x "(%s + %s)" a b
+      | Typed.Sub -> infix as_x "(%s - %s)" a b
+      | Typed.Mul -> infix as_x "(%s * %s)" a b
+      | Typed.Div -> infix as_x "(%s / %s)" a b
+      | Typed.Mod -> infix as_x "fmod(%s, %s)" a b (* = OCaml Float.rem *)
     in
+    match e.Typed.ty with Vtype.Float -> CF code | _ -> CI (code, Vtype.Int))
+  (* C99 [/] and [%] truncate toward zero like OCaml's; the helpers also
+     fault on a zero divisor, through the arena's exit, where the hardware
+     would trap. *)
+  | Typed.Int_div (a, b) -> CI (infix as_int "lq_idiv(&A, %s, %s)" a b, Vtype.Int)
+  | Typed.Int_mod (a, b) -> CI (infix as_int "lq_imod(&A, %s, %s)" a b, Vtype.Int)
+  | Typed.Cmp (op, a, b) ->
+    let x, y = both as_int a b in
+    CB (spf "(%s %s %s)" x (cmp_op op) y)
+  | Typed.Fcmp (op, a, b) ->
+    let x, y = both as_float a b in
+    CB (spf "(lq_fcmp(%s, %s) %s 0)" x y (cmp_op op))
+  | Typed.Scmp (op, a, b) ->
+    (* Ordering decodes: dict codes are not order-preserving. *)
+    c.needs_dict <- true;
+    let x, y = both as_int a b in
+    CB (spf "(lq_strcmp(db, dofs, %s, %s) %s 0)" x y (cmp_op op))
+  | Typed.If (cond, a, b) -> (
+    let fc = bool cond in
+    let ta, tb = both Fun.id a b in
+    match (e.Typed.ty, ta, tb) with
+    | Vtype.Float, _, _ -> CF (spf "(%s ? %s : %s)" fc (as_float ta) (as_float tb))
+    | Vtype.Bool, CB f1, CB f2 -> CB (spf "(%s ? %s : %s)" fc f1 f2)
+    | ty, _, _ -> CI (spf "(%s ? %s : %s)" fc (as_int ta) (as_int tb), ty))
+  | Typed.Call (f, args) -> (
     match (f, args) with
-    | ( (Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like),
-        [ subject; patt ] ) -> (
+    | (Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like), [ subject; patt ] -> (
       c.needs_dict <- true;
-      let fs = string_code (force_string subject) in
-      let pattern_of s =
-        match f with
-        | Ast.Starts_with -> s ^ "%"
-        | Ast.Ends_with -> "%" ^ s
-        | Ast.Contains -> "%" ^ s ^ "%"
-        | _ -> s
-      in
-      match static_string patt with
-      | Some s ->
-        let pattern = pattern_of s in
+      let fs = int subject in
+      match patt.Typed.node with
+      | Typed.Const (Value.Str s) ->
+        let pattern = Typed.like_pattern f s in
         CB
-          (spf "lq_like_code(db, dofs, %s, %d, 0, 0, %s)"
-             (c_string_lit pattern) (String.length pattern) fs)
-      | None ->
+          (spf "lq_like_code(db, dofs, %s, %d, 0, 0, %s)" (c_string_lit pattern)
+             (String.length pattern) fs)
+      | _ ->
         (* pattern ^ "%" ≡ matcher with an implicit trailing %, and
            "%" ^ pattern ≡ an implicit leading % — the affixes without
            runtime string concatenation. *)
@@ -400,31 +310,50 @@ let compile c ~env ?(on_agg = no_agg) ?(on_subquery = no_subquery) expr : cexp =
           | Ast.Contains -> (1, 1)
           | _ -> (0, 0)
         in
-        let fp = string_code (force_string patt) in
-        CB (spf "lq_like_dyn(db, dofs, %s, %d, %d, %s)" fp lead trail fs))
+        CB (spf "lq_like_dyn(db, dofs, %s, %d, %d, %s)" (int patt) lead trail fs))
     | (Ast.Lower | Ast.Upper), _ ->
       unsupported "string interning call (the C dictionary is read-only)"
-    | Ast.Length, [ e ] ->
+    | Ast.Length, [ x ] ->
       c.needs_dict <- true;
-      let fs = string_code (force_string e) in
+      let fs = int x in
       CI (spf "((int64_t)(dofs[%s + 1] - dofs[%s]))" fs fs, Vtype.Int)
-    | Ast.Abs, [ e ] -> (
-      match force c (go e) with
-      | CI (code, Vtype.Int) -> CI (spf "lq_iabs(%s)" code, Vtype.Int)
+    | Ast.Abs, [ x ] -> (
+      match emit c env x with
       | CF code -> CF (spf "fabs(%s)" code)
-      | _ -> unsupported "Abs on non-numeric (C)")
-    | Ast.Year, [ e ] -> (
-      match force_date e with
-      | CI (code, Vtype.Date) -> CI (spf "lq_year(%s)" code, Vtype.Int)
-      | _ -> unsupported "Year on non-date (C)")
-    | Ast.Add_days, [ d; n ] -> (
-      match (force_date d, force c (go n)) with
-      | CI (fd, Vtype.Date), CI (fn, Vtype.Int) ->
-        CI (spf "(%s + %s)" fd fn, Vtype.Date)
-      | _ -> unsupported "AddDays arguments (C)")
-    | _, _ -> unsupported "call %s (C)" (Lq_expr.Pretty.func_name f)
+      | t -> CI (spf "lq_iabs(%s)" (as_int t), Vtype.Int))
+    | Ast.Year, [ x ] -> CI (spf "lq_year(%s)" (int x), Vtype.Int)
+    | Ast.Add_days, [ d; n ] ->
+      let fd = int d in
+      CI (spf "(%s + %s)" fd (int n), Vtype.Date)
+    | _, _ -> unsupported "call %s (C)" (Lq_expr.Pretty.func_name f))
+
+let var_type env name =
+  Option.map
+    (function
+      | CScalar t -> Typed.Scalar (vty_of t)
+      | CFields fields -> Typed.Element (fun f -> Option.map vty_of (List.assoc_opt f fields))
+      | CRow (_, layout) ->
+        let field_type i = (Layout.field_at layout i).Layout.vty in
+        Typed.Element (fun f -> Option.map field_type (Layout.field_index layout f)))
+    (List.assoc_opt name env)
+
+let compile c ~env ?(on_agg = no_agg) ?(on_subquery = no_subquery) expr : cexp =
+  let nested (e : Ast.expr) =
+    let t =
+      match e with
+      | Ast.Agg (kind, src, sel) -> on_agg kind src sel
+      | Ast.Subquery q -> on_subquery q
+      | _ -> assert false
+    in
+    (t, vty_of t)
   in
-  force c (go expr)
+  match
+    Typed.of_expr ~param_type:Lq_expr.Shape.const_type
+      ~var:(var_type env)
+      ~nested expr
+  with
+  | typed -> emit c env typed
+  | exception Lq_expr.Typecheck.Type_error msg -> unsupported "%s (C)" msg
 
 (* --- plan walking, mirroring Nplan.compile_plan --------------------- *)
 
@@ -784,7 +713,12 @@ and gen_group c (a : P.aggregate) ~stops : celem * ((unit -> unit) -> unit) =
           CI (spf "%s[%s]" av slotv, Vtype.Int) )
       | _ -> unsupported "Sum over non-numeric (C)")
     | Ast.Avg ->
-      let code = as_float (selected ()) in
+      let code =
+        match selected () with
+        | CF code -> code
+        | CI (code, Vtype.Int) -> spf "((double)%s)" code
+        | _ -> unsupported "Avg over non-numeric (C)"
+      in
       ( decl_arr true,
         (fun () ->
           grow true;
@@ -838,8 +772,8 @@ and gen_group c (a : P.aggregate) ~stops : celem * ((unit -> unit) -> unit) =
       out
     | _ -> unsupported "aggregate over a non-group source (C)"
   in
-  let body_ast = Nplan.rewrite_gkey gvar result.Ast.body in
-  let env = [ (Nplan.gkey_var, gkey_elem) ] in
+  let body_ast = P.rewrite_gkey gvar result.Ast.body in
+  let env = [ (P.gkey_var, gkey_elem) ] in
   let compile_result e = compile c ~env ~on_agg e in
   let elem =
     match body_ast with
@@ -1002,14 +936,16 @@ static inline void wr_f64(unsigned char *p, double v) { memcpy(p, &v, 8); }
 
 static inline int64_t lq_fkey(double x) { int64_t v; memcpy(&v, &x, 8); return v; }
 static inline double lq_keyf(int64_t v) { double x; memcpy(&x, &v, 8); return x; }
-/* IEEE three-way compare = OCaml Float.compare on NaN-free data. */
-static inline int lq_fcmp(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+/* OCaml Float.compare: NaN equals NaN and sorts below every other float. */
+static inline int lq_fcmp(double a, double b) {
+  return a < b ? -1 : a > b ? 1 : a == b ? 0 : b == b ? -1 : a == a;
+}
 static inline int lq_icmp(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 static inline int64_t lq_iabs(int64_t x) { return x < 0 ? -x : x; }
 
 /* Per-call arena: every allocation is tracked and freed at the single
-   exit; malloc failure longjmps there and the call returns -1. */
-typedef struct { void **ptrs; int64_t n, cap; jmp_buf env; } lq_arena;
+   exit; malloc failure longjmps there and the call returns rc, -1. */
+typedef struct { void **ptrs; int64_t n, cap, rc; jmp_buf env; } lq_arena;
 
 static void *lq_alloc(lq_arena *A, int64_t sz) {
   if (sz < 1) sz = 1;
@@ -1037,6 +973,18 @@ static void *lq_grow(lq_arena *A, void *arr, int64_t *cap, int64_t need, int64_t
   memset((char *)p + *cap * esz, 0, (size_t)((nc - *cap) * esz));
   *cap = nc;
   return p;
+}
+
+/* OCaml integer division: a zero divisor leaves through the arena exit
+   with rc -2 (the caller raises Division_by_zero); min / -1 wraps
+   instead of trapping. */
+static inline int64_t lq_idiv(lq_arena *A, int64_t a, int64_t b) {
+  if (b == 0) { A->rc = -2; longjmp(A->env, 1); }
+  return b == -1 ? (int64_t)(0 - (uint64_t)a) : a / b;
+}
+static inline int64_t lq_imod(lq_arena *A, int64_t a, int64_t b) {
+  if (b == 0) { A->rc = -2; longjmp(A->env, 1); }
+  return b == -1 ? 0 : a % b;
 }
 
 static void lq_arena_free(lq_arena *A) {
@@ -1220,9 +1168,9 @@ let header =
                  const unsigned char *db, const int32_t *dofs,
                  unsigned char *out, int64_t cap)
 {
-  lq_arena A; A.ptrs = NULL; A.n = 0; A.cap = 0;
+  lq_arena A; A.ptrs = NULL; A.n = 0; A.cap = 0; A.rc = -1;
   int64_t lq_total = 0;
-  if (setjmp(A.env)) { lq_arena_free(&A); return -1; }
+  if (setjmp(A.env)) { lq_arena_free(&A); return A.rc; }
   (void)srcs; (void)nrows; (void)ip; (void)fp; (void)db; (void)dofs;
 |}
 
@@ -1309,29 +1257,25 @@ let stub_source reason =
      typedef int lq_unused;\n"
     reason
 
-let emit_lowered cat plan =
-  match emit_plan cat plan with
+(* The listing is total: a plan with no C form renders as a stub. *)
+let listing program =
+  match program () with
   | p -> p.c_source
-  | exception Unsupported_c msg -> stub_source msg
-  | exception Lq_catalog.Engine_intf.Unsupported msg -> stub_source msg
+  | exception
+      ( Unsupported_c msg
+      | Lq_catalog.Engine_intf.Unsupported msg
+      | Lq_expr.Typecheck.Type_error msg
+      | Invalid_argument msg
+      | Failure msg ) ->
+    stub_source msg
   | exception Catalog.Not_flat t -> stub_source (t ^ ": source is not flat")
   (* A plan whose scans name occurrence-renamed (staged/overridden)
      sources — the hybrid and parallel engines show their offloaded
      remainder through this listing — has no catalog-backed C form. *)
-  | exception Lq_expr.Eval.Unbound_source t ->
-    stub_source ("unbound source " ^ t)
-  | exception Invalid_argument msg -> stub_source msg
+  | exception Lq_expr.Eval.Unbound_source t -> stub_source ("unbound source " ^ t)
   | exception Not_found -> stub_source "plan element not found"
-  | exception Failure msg -> stub_source msg
+
+let emit_lowered cat plan = listing (fun () -> emit_plan cat plan)
 
 let emit cat (q : Ast.query) : string =
-  match Lq_plan.Lower.lower cat q with
-  | plan -> emit_lowered cat plan
-  | exception Lq_catalog.Engine_intf.Unsupported msg -> stub_source msg
-  | exception Catalog.Not_flat t -> stub_source (t ^ ": source is not flat")
-  | exception Lq_expr.Typecheck.Type_error msg -> stub_source msg
-  | exception Lq_expr.Eval.Unbound_source t ->
-    stub_source ("unbound source " ^ t)
-  | exception Invalid_argument msg -> stub_source msg
-  | exception Not_found -> stub_source "plan element not found"
-  | exception Failure msg -> stub_source msg
+  listing (fun () -> emit_plan cat (Lq_plan.Lower.lower cat q))

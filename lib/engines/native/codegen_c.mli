@@ -11,9 +11,10 @@
                      unsigned char *out, int64_t cap);
     v}
 
-    The emission mirrors [Nplan]/[Nexpr] operator by operator and
-    coercion by coercion, so the compiled object and the interpreted
-    program produce identical rows in identical order. The JIT engine
+    The emission mirrors [Nplan] operator by operator and emits each
+    expression from the same {!Lq_expr.Typed} form [Nexpr] compiles, so
+    the compiled object and the interpreted program produce identical
+    rows in identical order. The JIT engine
     ([Lq_jit]) compiles [program.c_source] with [cc -O2 -shared -fPIC]
     and dlopens the result; [emit]/[emit_lowered] render the same source
     as a total documentation listing for [prepared.source]. *)
@@ -26,6 +27,10 @@ exception Unsupported_c of string
 val abi_version : int
 (** Version of the [lq_query] contract; part of the artifact cache key
     so stale objects from an older emitter are never loaded. *)
+
+val div_by_zero : int
+(** [lq_query]'s result on an integer division by zero ([-1] is an arena
+    allocation failure). *)
 
 (** An integer parameter register of the generated function. *)
 type cparam =

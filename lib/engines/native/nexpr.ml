@@ -1,5 +1,6 @@
 open Lq_value
 module Ast = Lq_expr.Ast
+module Typed = Lq_expr.Typed
 module Date = Lq_value.Date
 module Dict = Lq_storage.Dict
 module Rowstore = Lq_storage.Rowstore
@@ -26,10 +27,8 @@ type ctx = {
   trace : (int -> unit) option;
   pints : int array;
   pfloats : float array;
-  praws : Value.t array;
   mutable int_slots : (string * int) list;
   mutable float_slots : (string * int) list;
-  mutable raw_slots : (string * int) list;
 }
 
 let ctx ?trace ~dict () =
@@ -38,14 +37,11 @@ let ctx ?trace ~dict () =
     trace;
     pints = Array.make max_params 0;
     pfloats = Array.make max_params 0.0;
-    praws = Array.make max_params Value.Null;
     int_slots = [];
     float_slots = [];
-    raw_slots = [];
   }
 
 let dict c = c.dict
-let trace c = c.trace
 
 let alloc_slot slots name =
   match List.assoc_opt name !slots with
@@ -69,27 +65,11 @@ let float_slot c name =
   slot
 
 let bind_params c params =
-  let lookup name =
-    match List.assoc_opt name params with
-    | Some v -> v
-    | None -> Lq_catalog.Engine_intf.execution_failed "unbound query parameter %S" name
-  in
+  let int_register = Engine_intf.int_register c.dict params in
+  List.iter (fun (name, slot) -> c.pints.(slot) <- int_register name) c.int_slots;
   List.iter
-    (fun (name, slot) ->
-      c.pints.(slot) <-
-        (match lookup name with
-        | Value.Int i -> i
-        | Value.Date d -> d
-        | Value.Bool b -> if b then 1 else 0
-        | Value.Str s -> Dict.intern c.dict s
-        | v ->
-          Lq_catalog.Engine_intf.execution_failed
-            "parameter %S: expected integer-like, got %s" name (Value.to_string v)))
-    c.int_slots;
-  List.iter
-    (fun (name, slot) -> c.pfloats.(slot) <- Value.to_float (lookup name))
-    c.float_slots;
-  List.iter (fun (name, slot) -> c.praws.(slot) <- lookup name) c.raw_slots
+    (fun (name, slot) -> c.pfloats.(slot) <- Engine_intf.float_register params name)
+    c.float_slots
 
 (* ------------------------------------------------------------------ *)
 
@@ -105,14 +85,11 @@ let as_int = function
 
 let as_float = function
   | F f -> f
-  | I (f, Vtype.Int) -> fun () -> float_of_int (f ())
-  | I (_, ty) -> unsupported "cannot use %s as float" (Vtype.to_string ty)
-  | B _ -> unsupported "cannot use bool as float"
+  | I _ | B _ -> unsupported "expected a float-typed native expression"
 
 let as_bool = function
   | B f -> f
-  | I (f, Vtype.Bool) -> fun () -> f () <> 0
-  | I (_, ty) -> unsupported "expected bool, found %s" (Vtype.to_string ty)
+  | I (f, _) -> fun () -> f () <> 0
   | F _ -> unsupported "expected bool, found float"
 
 let key_part = function
@@ -184,242 +161,137 @@ let elem_fields c = function
   | Fields fields -> fields
   | Scalar t -> [ (scalar_field, t) ]
 
-(* Internal pre-typed form: parameters stay untyped until context fixes
-   their register kind. *)
-type pre =
-  | T of t
-  | P of string
+let var_type env name =
+  let field_type assoc ty f = Option.map ty (List.assoc_opt f assoc) in
+  Option.map
+    (function
+      | Scalar t -> Typed.Scalar (vty t)
+      | Fields fields -> Typed.Element (field_type fields vty)
+      | Row (cursor, cols) ->
+        let layout = Rowstore.layout cursor.store in
+        Typed.Element (field_type cols (fun col -> (Lq_storage.Layout.field_at layout col).vty)))
+    (List.assoc_opt name env)
 
-let force c = function
-  | T t -> t
-  | P name ->
-    let slot = int_slot c name in
-    I ((fun () -> c.pints.(slot)), Vtype.Int)
-
-let coerce_like c pre ~like =
-  match pre with
-  | T t -> t
-  | P name -> (
-    match like with
-    | F _ ->
+let rec emit c env (e : t Typed.t) : t =
+  let int e = as_int (emit c env e) in
+  let bool e = as_bool (emit c env e) in
+  let float e = as_float (emit c env e) in
+  let ints op a b =
+    let fa = int a in
+    let fb = int b in
+    I ((fun () -> op (fa ()) (fb ())), Vtype.Int)
+  in
+  let floats op a b =
+    let fa = float a in
+    let fb = float b in
+    F (fun () -> op (fa ()) (fb ()))
+  in
+  match e.node with
+  | Typed.Const (Value.Float f) -> F (fun () -> f)
+  | Typed.Const (Value.Bool b) -> B (fun () -> b)
+  | Typed.Const v ->
+    let i = Option.get (Typed.int_image ~intern:(Dict.intern c.dict) v) in
+    I ((fun () -> i), e.ty)
+  | Typed.Param name -> (
+    match e.ty with
+    | Vtype.Float ->
       let slot = float_slot c name in
       F (fun () -> c.pfloats.(slot))
-    | I (_, ty) ->
+    | Vtype.Bool ->
       let slot = int_slot c name in
-      I ((fun () -> c.pints.(slot)), ty)
-    | B _ ->
+      B (fun () -> c.pints.(slot) <> 0)
+    | ty ->
       let slot = int_slot c name in
-      B (fun () -> c.pints.(slot) <> 0))
+      I ((fun () -> c.pints.(slot)), ty))
+  | Typed.Var name -> (
+    match List.assoc name env with Scalar t -> t | Row _ | Fields _ -> assert false)
+  | Typed.Field (name, field) -> (
+    match List.assoc name env with
+    | Row (cursor, cols) -> reader_of c cursor (List.assoc field cols)
+    | Fields fields -> List.assoc field fields
+    | Scalar _ -> assert false)
+  | Typed.Nested t -> t
+  | Typed.To_float x ->
+    let f = int x in
+    F (fun () -> float_of_int (f ()))
+  | Typed.Neg x when Vtype.equal x.ty Vtype.Float ->
+    let f = float x in
+    F (fun () -> -.f ())
+  | Typed.Neg x ->
+    let f = int x in
+    I ((fun () -> -f ()), Vtype.Int)
+  | Typed.Not x ->
+    let f = bool x in
+    B (fun () -> not (f ()))
+  | Typed.And (a, b) ->
+    let fa = bool a in
+    let fb = bool b in
+    B (fun () -> fa () && fb ())
+  | Typed.Or (a, b) ->
+    let fa = bool a in
+    let fb = bool b in
+    B (fun () -> fa () || fb ())
+  | Typed.Arith (op, a, b) when Vtype.equal e.ty Vtype.Float -> floats (Typed.float_arith op) a b
+  | Typed.Arith (op, a, b) -> ints (Typed.int_arith op) a b
+  (* OCaml's [/] and [mod] raise [Division_by_zero] on a zero divisor:
+     the fault every flat tier reports. *)
+  | Typed.Int_div (a, b) -> ints ( / ) a b
+  | Typed.Int_mod (a, b) -> ints ( mod ) a b
+  | Typed.Cmp (Typed.Eq, a, b) ->
+    let fa = int a in
+    let fb = int b in
+    B (fun () -> fa () = fb ())
+  | Typed.Cmp (op, a, b) ->
+    let test = Typed.test op and fa = int a in
+    let fb = int b in
+    B (fun () -> test (Int.compare (fa ()) (fb ())))
+  | Typed.Fcmp (op, a, b) ->
+    let test = Typed.test op and fa = float a in
+    let fb = float b in
+    B (fun () -> test (Float.compare (fa ()) (fb ())))
+  | Typed.Scmp (op, a, b) ->
+    (* Dictionary codes are not order-preserving: ordering decodes. *)
+    let test = Typed.test op and d = c.dict and fa = int a in
+    let fb = int b in
+    B (fun () -> test (String.compare (Dict.get d (fa ())) (Dict.get d (fb ()))))
+  | Typed.If (cond, a, b) -> (
+    let fc = bool cond in
+    let ta = emit c env a in
+    let tb = emit c env b in
+    match e.ty with
+    | Vtype.Float ->
+      let f1 = as_float ta and f2 = as_float tb in
+      F (fun () -> if fc () then f1 () else f2 ())
+    | Vtype.Bool ->
+      let f1 = as_bool ta and f2 = as_bool tb in
+      B (fun () -> if fc () then f1 () else f2 ())
+    | ty ->
+      let f1 = as_int ta and f2 = as_int tb in
+      I ((fun () -> if fc () then f1 () else f2 ()), ty))
+  | Typed.Call (Ast.Abs, [ x ]) when Vtype.equal x.ty Vtype.Float ->
+    let f = float x in
+    F (fun () -> Float.abs (f ()))
+  | Typed.Call (f, args) -> (
+    let g = Typed.call_image ~decode:(Dict.get c.dict) ~intern:(Dict.intern c.dict) f in
+    match List.map int args with
+    | [ fa ] -> I ((fun () -> g (fa ()) 0), e.ty)
+    | [ fa; fb ] -> I ((fun () -> g (fa ()) (fb ())), e.ty)
+    | _ -> unsupported "call %s (native)" (Lq_expr.Pretty.func_name f))
 
-let string_closure c t =
-  match t with
-  | I (f, Vtype.String) -> fun () -> Dict.get c.dict (f ())
-  | _ -> unsupported "expected a string-typed native expression"
-
-(* Static string constant, for precompiled pattern matchers. *)
-let static_string (e : Ast.expr) =
-  match e with
-  | Ast.Const (Value.Str s) -> Some s
-  | _ -> None
-
-let arith_op (op : Ast.binop) =
-  match op with
-  | Ast.Add -> (( + ), ( +. ))
-  | Ast.Sub -> (( - ), ( -. ))
-  | Ast.Mul -> (( * ), ( *. ))
-  | Ast.Div -> (( / ), ( /. ))
-  | Ast.Mod -> ((fun a b -> a mod b), fun a b -> Float.rem a b)
-  | _ -> assert false
-
-let cmp_test (op : Ast.binop) =
-  match op with
-  | Ast.Eq -> fun c -> c = 0
-  | Ast.Ne -> fun c -> c <> 0
-  | Ast.Lt -> fun c -> c < 0
-  | Ast.Le -> fun c -> c <= 0
-  | Ast.Gt -> fun c -> c > 0
-  | Ast.Ge -> fun c -> c >= 0
-  | _ -> assert false
-
-let no_agg _ _ _ = unsupported "aggregate outside a group context (native)"
-let no_subquery _ = unsupported "nested sub-query (native backend)"
-
-let compile c ~env ?(on_agg = no_agg) ?(on_subquery = no_subquery) expr =
-  let rec go (e : Ast.expr) : pre =
-    match e with
-    | Ast.Const (Value.Int i) -> T (I ((fun () -> i), Vtype.Int))
-    | Ast.Const (Value.Date d) -> T (I ((fun () -> d), Vtype.Date))
-    | Ast.Const (Value.Bool b) -> T (B (fun () -> b))
-    | Ast.Const (Value.Float f) -> T (F (fun () -> f))
-    | Ast.Const (Value.Str s) ->
-      let code = Dict.intern c.dict s in
-      T (I ((fun () -> code), Vtype.String))
-    | Ast.Const v -> unsupported "constant %s (native)" (Value.to_string v)
-    | Ast.Param name -> P name
-    | Ast.Var name -> (
-      match List.assoc_opt name env with
-      | Some (Scalar t) -> T t
-      | Some (Row _ | Fields _) ->
-        unsupported "whole-element use of %S (native backend needs scalars)" name
-      | None -> unsupported "unbound variable %S (native)" name)
-    | Ast.Member (Ast.Var name, field) -> (
-      match List.assoc_opt name env with
-      | Some (Row (cursor, cols)) -> (
-        match List.assoc_opt field cols with
-        | Some col -> T (reader_of c cursor col)
-        | None -> unsupported "row has no member %S (native)" field)
-      | Some (Fields fields) -> (
-        match List.assoc_opt field fields with
-        | Some t -> T t
-        | None -> unsupported "element has no member %S (native)" field)
-      | Some (Scalar _) -> unsupported "member %S of a scalar (native)" field
-      | None -> unsupported "unbound variable %S (native)" name)
-    | Ast.Member (_, field) ->
-      unsupported "nested member access .%s (flat native data only)" field
-    | Ast.Unop (Ast.Neg, e) -> (
-      match force c (go e) with
-      | I (f, Vtype.Int) -> T (I ((fun () -> -f ()), Vtype.Int))
-      | F f -> T (F (fun () -> -.f ()))
-      | _ -> unsupported "negation of non-numeric (native)")
-    | Ast.Unop (Ast.Not, e) ->
-      let f = as_bool (force c (go e)) in
-      T (B (fun () -> not (f ())))
-    | Ast.Binop (Ast.And, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (B (fun () -> fa () && fb ()))
-    | Ast.Binop (Ast.Or, a, b) ->
-      let fa = as_bool (force c (go a)) in
-      let fb = as_bool (force c (go b)) in
-      T (B (fun () -> fa () || fb ()))
-    | Ast.Binop (op, a, b) ->
-      let pa = go a and pb = go b in
-      let ta, tb =
-        match (pa, pb) with
-        | T ta, T tb -> (ta, tb)
-        | T ta, (P _ as pb) -> (ta, coerce_like c pb ~like:ta)
-        | (P _ as pa), T tb -> (coerce_like c pa ~like:tb, tb)
-        | (P _ as pa), (P _ as pb) -> (
-          (* Two bare parameters: default to float registers (which also
-             accept integer bindings) for arithmetic and comparisons;
-             integer division/modulo semantics cannot be guessed. *)
-          match op with
-          | Ast.Div | Ast.Mod ->
-            unsupported "integer-or-float division of two parameters (native)"
-          | _ ->
-            let like = F (fun () -> 0.0) in
-            (coerce_like c pa ~like, coerce_like c pb ~like))
-      in
-      compile_binop op ta tb
-    | Ast.If (cond, th, el) ->
-      let fc = as_bool (force c (go cond)) in
-      let pt = go th and pe = go el in
-      (* Parameters in one branch take the other branch's type; two bare
-         parameters default to integer registers. *)
-      let tt, te =
-        match (pt, pe) with
-        | T a, T b -> (a, b)
-        | T a, (P _ as pb) -> (a, coerce_like c pb ~like:a)
-        | (P _ as pa), T b -> (coerce_like c pa ~like:b, b)
-        | (P _ as pa), (P _ as pb) -> (force c pa, force c pb)
-      in
-      (match (tt, te) with
-      | I (f1, ty1), I (f2, ty2) when Vtype.equal ty1 ty2 ->
-        T (I ((fun () -> if fc () then f1 () else f2 ()), ty1))
-      | B f1, B f2 -> T (B (fun () -> if fc () then f1 () else f2 ()))
-      | (F _ | I (_, Vtype.Int)), (F _ | I (_, Vtype.Int)) ->
-        let f1 = as_float tt and f2 = as_float te in
-        T (F (fun () -> if fc () then f1 () else f2 ()))
-      | _ -> unsupported "if branches of mismatched native types")
-    | Ast.Call (f, args) -> T (compile_call f args)
-    | Ast.Agg (kind, src, sel) -> T (on_agg kind src sel)
-    | Ast.Subquery q -> T (on_subquery q)
-    | Ast.Record_of _ ->
-      unsupported "object construction inside a native scalar expression"
-  and compile_binop op ta tb : pre =
-    match op with
-    | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> (
-      let int_op, float_op = arith_op op in
-      match (ta, tb) with
-      | I (fa, Vtype.Int), I (fb, Vtype.Int) ->
-        T (I ((fun () -> int_op (fa ()) (fb ())), Vtype.Int))
-      | (F _ | I (_, Vtype.Int)), (F _ | I (_, Vtype.Int)) ->
-        let fa = as_float ta and fb = as_float tb in
-        T (F (fun () -> float_op (fa ()) (fb ())))
-      | _ ->
-        unsupported "arithmetic on %s and %s (native)"
-          (Vtype.to_string (vty ta)) (Vtype.to_string (vty tb)))
-    | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
-      let test = cmp_test op in
-      match (ta, tb) with
-      | I (fa, Vtype.String), I (fb, Vtype.String) -> (
-        match op with
-        | Ast.Eq -> T (B (fun () -> fa () = fb ()))
-        | Ast.Ne -> T (B (fun () -> fa () <> fb ()))
-        | _ ->
-          (* Ordering on strings requires decoding: dictionary codes are
-             not order-preserving. *)
-          let d = c.dict in
-          T (B (fun () -> test (String.compare (Dict.get d (fa ())) (Dict.get d (fb ()))))))
-      | I (fa, ty1), I (fb, ty2) when Vtype.equal ty1 ty2 ->
-        T (B (fun () -> test (Int.compare (fa ()) (fb ()))))
-      | (F _ | I (_, Vtype.Int)), (F _ | I (_, Vtype.Int)) ->
-        let fa = as_float ta and fb = as_float tb in
-        T (B (fun () -> test (Float.compare (fa ()) (fb ()))))
-      | B fa, B fb -> T (B (fun () -> test (Bool.compare (fa ()) (fb ()))))
-      | _ ->
-        unsupported "comparison between %s and %s (native)"
-          (Vtype.to_string (vty ta)) (Vtype.to_string (vty tb)))
-    | Ast.And | Ast.Or -> assert false
-  and compile_call f args : t =
-    (* Arguments in known-type positions coerce parameters accordingly. *)
-    let force_string e =
-      coerce_like c (go e) ~like:(I ((fun () -> 0), Vtype.String))
+let compile c ~env ~on_agg ~on_subquery expr =
+  let nested (e : Ast.expr) =
+    let t =
+      match e with
+      | Ast.Agg (kind, src, sel) -> on_agg kind src sel
+      | Ast.Subquery q -> on_subquery q
+      | _ -> assert false
     in
-    let force_date e = coerce_like c (go e) ~like:(I ((fun () -> 0), Vtype.Date)) in
-    match (f, args) with
-    | (Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like), [ subject; patt ]
-      -> (
-      let fs = string_closure c (force_string subject) in
-      let pattern_of s =
-        match f with
-        | Ast.Starts_with -> s ^ "%"
-        | Ast.Ends_with -> "%" ^ s
-        | Ast.Contains -> "%" ^ s ^ "%"
-        | _ -> s
-      in
-      match static_string patt with
-      | Some s ->
-        let pattern = pattern_of s in
-        B (fun () -> Lq_expr.Scalar.like_match ~pattern (fs ()))
-      | None ->
-        let fp = string_closure c (force_string patt) in
-        B (fun () -> Lq_expr.Scalar.like_match ~pattern:(pattern_of (fp ())) (fs ())))
-    | Ast.Lower, [ e ] ->
-      let fs = string_closure c (force_string e) in
-      let d = c.dict in
-      I ((fun () -> Dict.intern d (String.lowercase_ascii (fs ()))), Vtype.String)
-    | Ast.Upper, [ e ] ->
-      let fs = string_closure c (force_string e) in
-      let d = c.dict in
-      I ((fun () -> Dict.intern d (String.uppercase_ascii (fs ()))), Vtype.String)
-    | Ast.Length, [ e ] ->
-      let fs = string_closure c (force_string e) in
-      I ((fun () -> String.length (fs ())), Vtype.Int)
-    | Ast.Abs, [ e ] -> (
-      match force c (go e) with
-      | I (f, Vtype.Int) -> I ((fun () -> abs (f ())), Vtype.Int)
-      | F f -> F (fun () -> Float.abs (f ()))
-      | _ -> unsupported "Abs on non-numeric (native)")
-    | Ast.Year, [ e ] -> (
-      match force_date e with
-      | I (f, Vtype.Date) -> I ((fun () -> Date.year (f ())), Vtype.Int)
-      | _ -> unsupported "Year on non-date (native)")
-    | Ast.Add_days, [ d; n ] -> (
-      match (force_date d, force c (go n)) with
-      | I (fd, Vtype.Date), I (fn, Vtype.Int) ->
-        I ((fun () -> fd () + fn ()), Vtype.Date)
-      | _ -> unsupported "AddDays arguments (native)")
-    | _, _ -> unsupported "call %s (native)" (Lq_expr.Pretty.func_name f)
+    (t, vty t)
   in
-  force c (go expr)
+  match
+    Typed.of_expr ~param_type:Lq_expr.Shape.const_type
+      ~var:(var_type env)
+      ~nested expr
+  with
+  | typed -> emit c env typed
+  | exception Lq_expr.Typecheck.Type_error msg -> unsupported "%s (native)" msg

@@ -37,30 +37,28 @@ type ctx
 
 val ctx : ?trace:(int -> unit) -> dict:Lq_storage.Dict.t -> unit -> ctx
 val dict : ctx -> Lq_storage.Dict.t
-val trace : ctx -> (int -> unit) option
 
 val bind_params : ctx -> (string * Value.t) list -> unit
 (** Fills the parameter registers for one execution (dates become day
     counts, strings dictionary codes...).
-    @raise Invalid_argument on a missing or ill-typed binding. *)
+    @raise Lq_fault.Fault on a missing or ill-typed binding. *)
 
 val compile :
   ctx ->
   env:(string * elem) list ->
-  ?on_agg:(Lq_expr.Ast.agg -> Lq_expr.Ast.expr -> Lq_expr.Ast.lambda option -> t) ->
-  ?on_subquery:(Lq_expr.Ast.query -> t) ->
+  on_agg:(Lq_expr.Ast.agg -> Lq_expr.Ast.expr -> Lq_expr.Ast.lambda option -> t) ->
+  on_subquery:(Lq_expr.Ast.query -> t) ->
   Lq_expr.Ast.expr ->
   t
-(** @raise Lq_catalog.Engine_intf.Unsupported for constructs outside the
-    native subset (nested records, correlated sub-queries without hooks,
-    untypable parameters...). *)
+(** Emits closures from the expression's [Lq_expr.Typed] form; hoisted
+    constants are typed by their names ({!Lq_expr.Shape.const_type}).
+    @raise Lq_catalog.Engine_intf.Unsupported for constructs outside the
+    native subset (nested records, untypable parameters...). *)
 
 val vty : t -> Vtype.t
 val as_int : t -> (unit -> int)
-(** @raise Lq_catalog.Engine_intf.Unsupported on a float closure. *)
-
-val as_float : t -> (unit -> float)
-(** Accepts [I] with type Int (promotes) and [F]. *)
+(** The integer image: ints, dates, dictionary codes, 0/1 bools.
+    @raise Lq_catalog.Engine_intf.Unsupported on a float closure. *)
 
 val as_bool : t -> (unit -> bool)
 val key_part : t -> (unit -> int)
@@ -77,13 +75,7 @@ val key_parts : t -> (unit -> int) list
 val float_of_key_parts : hi:int -> lo:int -> float
 (** Inverse of the two-part float image. *)
 
-val to_value : ctx -> t -> (unit -> Value.t)
-(** Boxing closure for result construction ("return result" phase). *)
-
 val elem_to_value : ctx -> elem -> (unit -> Value.t)
-
-val row_fields : ctx -> cursor -> (string * int) list -> (string * t) list
-(** Reader view of a cursor row: one typed closure per bound column. *)
 
 val elem_fields : ctx -> elem -> (string * t) list
 (** Fields of an element. A [Scalar] exposes the single pseudo-field

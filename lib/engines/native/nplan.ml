@@ -93,30 +93,6 @@ let spill nctx elem =
   let cols = List.mapi (fun col (name, _) -> (name, col)) fields in
   (store, write_current, cursor, Nexpr.Row (cursor, cols))
 
-(* Group-key reference rewriting: [g.Key] becomes the synthetic variable
-   [__gkey] so composite keys support [g.Key.f] chains. *)
-let gkey_var = "__gkey"
-
-let rec rewrite_gkey gvar (e : Ast.expr) : Ast.expr =
-  match e with
-  | Ast.Member (Ast.Var v, k)
-    when String.equal v gvar && String.equal k Ast.group_key_field ->
-    Ast.Var gkey_var
-  | Ast.Const _ | Ast.Param _ | Ast.Var _ -> e
-  | Ast.Member (r, f) -> Ast.Member (rewrite_gkey gvar r, f)
-  | Ast.Unop (op, e) -> Ast.Unop (op, rewrite_gkey gvar e)
-  | Ast.Binop (op, a, b) -> Ast.Binop (op, rewrite_gkey gvar a, rewrite_gkey gvar b)
-  | Ast.If (c, t, e) ->
-    Ast.If (rewrite_gkey gvar c, rewrite_gkey gvar t, rewrite_gkey gvar e)
-  | Ast.Call (f, args) -> Ast.Call (f, List.map (rewrite_gkey gvar) args)
-  | Ast.Agg (k, src, sel) ->
-    (* Aggregate sources stay (the hook matches on [Var g]); selector
-       bodies cannot see [g]. *)
-    Ast.Agg (k, src, sel)
-  | Ast.Subquery _ -> e
-  | Ast.Record_of fields ->
-    Ast.Record_of (List.map (fun (n, e) -> (n, rewrite_gkey gvar e)) fields)
-
 let compile_lowered ?trace ?(override = fun _ -> None) cat
     (lowered : Lq_plan.Plan.t) : t =
   let nctx = Nexpr.ctx ?trace ~dict:(Catalog.dict cat) () in
@@ -137,18 +113,13 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
       Nexpr.F (fun () -> !cell)
     | Vtype.Int | Vtype.Date | Vtype.Bool | Vtype.String ->
       let cell = ref 0 in
-      let dict = Nexpr.dict nctx in
+      let intern = Lq_storage.Dict.intern (Nexpr.dict nctx) in
       fillers :=
         (fun ctx ->
-          cell :=
-            (match Eval.expr ctx ~env:[] e with
-            | Value.Int i -> i
-            | Value.Date d -> d
-            | Value.Bool b -> if b then 1 else 0
-            | Value.Str s -> Lq_storage.Dict.intern dict s
-            | v ->
-              Lq_catalog.Engine_intf.execution_failed "sub-query produced %s"
-                (Value.to_string v)))
+          let v = Eval.expr ctx ~env:[] e in
+          match Lq_expr.Typed.int_image ~intern v with
+          | Some i -> cell := i
+          | None -> Engine_intf.execution_failed "sub-query produced %s" (Value.to_string v))
         :: !fillers;
       Nexpr.I ((fun () -> !cell), ty)
     | Vtype.Record _ | Vtype.List _ ->
@@ -492,7 +463,12 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
             Nexpr.I ((fun () -> !sums.(!cur_slot)), Vtype.Int) )
         | _ -> unsupported "Sum over non-numeric (native)")
       | Ast.Avg ->
-        let f = Nexpr.as_float (selected ()) in
+        let f =
+          match selected () with
+          | Nexpr.F f -> f
+          | Nexpr.I (g, Vtype.Int) -> fun () -> float_of_int (g ())
+          | _ -> unsupported "Avg over non-numeric (native)"
+        in
         let sums = ref (Array.make 64 0.0) in
         ( (fun ~slot ~fresh ->
             grow_f sums slot;
@@ -544,8 +520,8 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
       | Ast.Subquery _ -> on_agg_outside kind src sel
       | _ -> unsupported "aggregate source (native)"
     in
-    let body = rewrite_gkey gvar result.Ast.body in
-    let env = [ (gkey_var, gkey_elem) ] in
+    let body = P.rewrite_gkey gvar result.Ast.body in
+    let env = [ (P.gkey_var, gkey_elem) ] in
     let compile_result e =
       Nexpr.compile nctx ~env ~on_agg ~on_subquery e
     in

@@ -58,14 +58,6 @@ val compile_lowered :
     feed the plan to another backend (the JIT's C emitter) lower once and
     share the result. Same exceptions as {!compile}. *)
 
-val gkey_var : string
-(** ["__gkey"] — the synthetic variable composite group keys bind to. *)
-
-val rewrite_gkey : string -> Lq_expr.Ast.expr -> Lq_expr.Ast.expr
-(** [rewrite_gkey gvar e]: [gvar.Key] references become [Var gkey_var],
-    so group-result bodies compile against a key element binding.
-    Shared with the C emitter so both backends rewrite identically. *)
-
 val execute :
   t ->
   ?profile:Lq_metrics.Profile.t ->

@@ -1,5 +1,6 @@
 open Lq_value
 module Ast = Lq_expr.Ast
+module Typed = Lq_expr.Typed
 module Eval = Lq_expr.Eval
 module Catalog = Lq_catalog.Catalog
 module Engine_intf = Lq_catalog.Engine_intf
@@ -11,7 +12,6 @@ module Dict = Lq_storage.Dict
 module P = Lq_plan.Plan
 
 let unsupported = Engine_intf.unsupported
-let vector_size = 1024
 
 (* Dense typed vectors; integer vectors carry the host type they decode to
    (int / date / bool / dictionary-coded string). Scan-resident columns
@@ -93,19 +93,17 @@ type vctx = {
   eval_ctx : Eval.ctx;
 }
 
-let encode_const vc (v : Value.t) : [ `I of int * Vtype.t | `F of float ] =
-  match v with
-  | Value.Int i -> `I (i, Vtype.Int)
-  | Value.Date d -> `I (d, Vtype.Date)
-  | Value.Bool b -> `I ((if b then 1 else 0), Vtype.Bool)
-  | Value.Str s -> `I (Dict.intern vc.dict s, Vtype.String)
-  | Value.Float f -> `F f
-  | other -> unsupported "vectorized constant %s" (Value.to_string other)
+let col_type = function
+  | CI (_, ty) -> ty
+  | CF _ -> Vtype.Float
+  | CE e -> e.ty
 
-let broadcast vc n v =
-  match encode_const vc v with
-  | `I (i, ty) -> CI (Array.make n i, ty)
-  | `F f -> CF (Array.make n f)
+let broadcast vc n (v : Value.t) =
+  match (v, Value.type_of v) with
+  | Value.Float f, _ -> CF (Array.make n f)
+  | v, Some ty when Vtype.is_scalar ty ->
+    CI (Array.make n (Option.get (Typed.int_image ~intern:(Dict.intern vc.dict) v)), ty)
+  | v, _ -> unsupported "vectorized constant %s" (Value.to_string v)
 
 let rec to_float_arr = function
   | CF a -> a
@@ -113,164 +111,108 @@ let rec to_float_arr = function
   | CI (_, ty) -> unsupported "vectorized: %s as float" (Vtype.to_string ty)
   | CE e -> to_float_arr (decode_full e)
 
-let bool_arr = function
-  | CI (a, Vtype.Bool) -> a
-  | _ -> unsupported "vectorized: expected bool vector"
+(* Integer images (ints, dates, dictionary codes, 0/1 bools) and float
+   vectors of values the typed form already typed. *)
+let ints = function
+  | CI (a, _) -> a
+  | CF _ | CE _ -> invalid_arg "vectorized: expected an integer vector"
 
-(* [env] binds lambda variables to datasets of identical length. *)
+let floats = function
+  | CF a -> a
+  | CI _ | CE _ -> invalid_arg "vectorized: expected a float vector"
+
+(* [env] binds lambda variables to datasets of identical length. The
+   plan runs once per execution, so parameters are typed by their bound
+   values. *)
 let rec veval vc ~(env : (string * dataset) list)
     ?(on_agg = fun _ _ _ -> (None : col option)) ~n (e : Ast.expr) : col =
-  let recur e = veval vc ~env ~on_agg ~n e in
-  match e with
-  | Ast.Const v -> broadcast vc n v
-  | Ast.Param p -> (
-    match List.assoc_opt p vc.params with
-    | Some v -> broadcast vc n v
-    | None -> Lq_catalog.Engine_intf.execution_failed "unbound parameter %S" p)
-  | Ast.Var _ -> unsupported "vectorized: whole-element variable use"
-  | Ast.Member (Ast.Var v, field) -> (
-    match List.assoc_opt v env with
-    | Some ds -> gather (find_col ds.rel field) ds.sel
-    | None -> unsupported "vectorized: unbound variable %S" v)
-  | Ast.Member (_, f) -> unsupported "vectorized: nested member .%s" f
-  | Ast.Unop (Ast.Neg, e) -> (
-    match recur e with
-    | CI (a, Vtype.Int) -> CI (Array.map (fun x -> -x) a, Vtype.Int)
-    | CF a -> CF (Array.map (fun x -> -.x) a)
-    | _ -> unsupported "vectorized negation")
-  | Ast.Unop (Ast.Not, e) ->
-    CI (Array.map (fun x -> 1 - x) (bool_arr (recur e)), Vtype.Bool)
-  | Ast.Binop (Ast.And, a, b) ->
-    let xa = bool_arr (recur a) and xb = bool_arr (recur b) in
-    CI (Array.init n (fun i -> xa.(i) land xb.(i)), Vtype.Bool)
-  | Ast.Binop (Ast.Or, a, b) ->
-    let xa = bool_arr (recur a) and xb = bool_arr (recur b) in
-    CI (Array.init n (fun i -> xa.(i) lor xb.(i)), Vtype.Bool)
-  | Ast.Binop (op, a, b) -> binop vc op (recur a) (recur b) n
-  | Ast.If (c, t, e) -> (
-    let cv = bool_arr (recur c) in
-    match (recur t, recur e) with
-    | CI (ta, ty), CI (ea, _) ->
-      CI (Array.init n (fun i -> if cv.(i) <> 0 then ta.(i) else ea.(i)), ty)
-    | (CF _ as tc), (CF _ as ec) | (CF _ as tc), (CI (_, Vtype.Int) as ec)
-    | (CI (_, Vtype.Int) as tc), (CF _ as ec) ->
-      let ta = to_float_arr tc and ea = to_float_arr ec in
-      CF (Array.init n (fun i -> if cv.(i) <> 0 then ta.(i) else ea.(i)))
-    | _ -> unsupported "vectorized if branches")
-  | Ast.Call (f, args) -> call vc f (List.map recur args) n
-  | Ast.Agg (kind, src, sel) -> (
-    match on_agg kind src sel with
-    | Some c -> c
-    | None -> (
-      match src with
-      | Ast.Subquery q when not (Ast.is_correlated q) ->
-        broadcast vc n (Eval.expr vc.eval_ctx ~env:[] e)
-      | _ -> unsupported "vectorized aggregate outside a group"))
-  | Ast.Subquery q ->
-    if Ast.is_correlated q then unsupported "correlated sub-query left by the decorrelation pass (vectorwise)"
-    else broadcast vc n (Eval.expr vc.eval_ctx ~env:[] (Ast.Subquery q))
-  | Ast.Record_of _ -> unsupported "vectorized nested record construction"
-
-and binop vc op a b n =
-  let cmp_mask test =
-    match (a, b) with
-    | CI (xa, Vtype.String), CI (xb, Vtype.String)
-      when not (op = Ast.Eq || op = Ast.Ne) ->
-      CI
-        ( Array.init n (fun i ->
-              if test (String.compare (Dict.get vc.dict xa.(i)) (Dict.get vc.dict xb.(i)))
-              then 1
-              else 0),
-          Vtype.Bool )
-    | CI (xa, _), CI (xb, _) ->
-      CI
-        (Array.init n (fun i -> if test (Int.compare xa.(i) xb.(i)) then 1 else 0),
-          Vtype.Bool )
-    | _ ->
-      let xa = to_float_arr a and xb = to_float_arr b in
-      CI
-        ( Array.init n (fun i -> if test (Float.compare xa.(i) xb.(i)) then 1 else 0),
-          Vtype.Bool )
-  in
-  match op with
-  | Ast.Eq -> cmp_mask (fun c -> c = 0)
-  | Ast.Ne -> cmp_mask (fun c -> c <> 0)
-  | Ast.Lt -> cmp_mask (fun c -> c < 0)
-  | Ast.Le -> cmp_mask (fun c -> c <= 0)
-  | Ast.Gt -> cmp_mask (fun c -> c > 0)
-  | Ast.Ge -> cmp_mask (fun c -> c >= 0)
-  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> (
-    match (a, b) with
-    | CI (xa, Vtype.Int), CI (xb, Vtype.Int) ->
-      let f =
-        match op with
-        | Ast.Add -> ( + )
-        | Ast.Sub -> ( - )
-        | Ast.Mul -> ( * )
-        | Ast.Div -> ( / )
-        | _ -> fun a b -> a mod b
-      in
-      CI (Array.init n (fun i -> f xa.(i) xb.(i)), Vtype.Int)
-    | _ ->
-      let xa = to_float_arr a and xb = to_float_arr b in
-      let f =
-        match op with
-        | Ast.Add -> ( +. )
-        | Ast.Sub -> ( -. )
-        | Ast.Mul -> ( *. )
-        | Ast.Div -> ( /. )
-        | _ -> fun a b -> Float.rem a b
-      in
-      CF (Array.init n (fun i -> f xa.(i) xb.(i))))
-  | Ast.And | Ast.Or -> assert false
-
-and call vc f args n =
-  let str_arg = function
-    | CI (a, Vtype.String) -> fun i -> Dict.get vc.dict a.(i)
-    | _ -> unsupported "vectorized: expected string vector"
-  in
-  match (f, args) with
-  | (Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like), [ s; p ] ->
-    let fs = str_arg s and fp = str_arg p in
-    let wrap pat =
-      match f with
-      | Ast.Starts_with -> pat ^ "%"
-      | Ast.Ends_with -> "%" ^ pat
-      | Ast.Contains -> "%" ^ pat ^ "%"
-      | _ -> pat
+  let nested (e : Ast.expr) =
+    let c =
+      match e with
+      | Ast.Agg (kind, src, sel) -> (
+        match (on_agg kind src sel, src) with
+        | Some c, _ -> c
+        | None, Ast.Subquery q when not (Ast.is_correlated q) ->
+          broadcast vc n (Eval.expr vc.eval_ctx ~env:[] e)
+        | None, _ -> unsupported "vectorized aggregate outside a group")
+      | Ast.Subquery q when Ast.is_correlated q ->
+        unsupported "correlated sub-query left by the decorrelation pass (vectorwise)"
+      | _ -> broadcast vc n (Eval.expr vc.eval_ctx ~env:[] e)
     in
-    CI
-      ( Array.init n (fun i ->
-            if Lq_expr.Scalar.like_match ~pattern:(wrap (fp i)) (fs i) then 1 else 0),
-        Vtype.Bool )
-  | Ast.Lower, [ s ] ->
-    let fs = str_arg s in
-    CI
-      ( Array.init n (fun i -> Dict.intern vc.dict (String.lowercase_ascii (fs i))),
-        Vtype.String )
-  | Ast.Upper, [ s ] ->
-    let fs = str_arg s in
-    CI
-      ( Array.init n (fun i -> Dict.intern vc.dict (String.uppercase_ascii (fs i))),
-        Vtype.String )
-  | Ast.Length, [ s ] ->
-    let fs = str_arg s in
-    CI (Array.init n (fun i -> String.length (fs i)), Vtype.Int)
-  | Ast.Abs, [ x ] -> (
-    match x with
-    | CI (a, Vtype.Int) -> CI (Array.map abs a, Vtype.Int)
-    | CF a -> CF (Array.map Float.abs a)
-    | _ -> unsupported "vectorized Abs")
-  | Ast.Year, [ d ] -> (
-    match d with
-    | CI (a, Vtype.Date) -> CI (Array.map Lq_value.Date.year a, Vtype.Int)
-    | _ -> unsupported "vectorized Year")
-  | Ast.Add_days, [ d; k ] -> (
-    match (d, k) with
-    | CI (a, Vtype.Date), CI (b, Vtype.Int) ->
-      CI (Array.init n (fun i -> a.(i) + b.(i)), Vtype.Date)
-    | _ -> unsupported "vectorized AddDays")
-  | _ -> unsupported "vectorized call %s" (Lq_expr.Pretty.func_name f)
+    (c, col_type c)
+  in
+  let var v =
+    Option.map
+      (fun ds -> Typed.Element (fun f -> Option.map col_type (List.assoc_opt f ds.rel.cols)))
+      (List.assoc_opt v env)
+  in
+  match
+    Typed.of_expr
+      ~param_type:(fun p -> Option.bind (List.assoc_opt p vc.params) Value.type_of)
+      ~var ~nested e
+  with
+  | typed -> emit vc ~env ~n typed
+  | exception Lq_expr.Typecheck.Type_error msg -> unsupported "vectorized: %s" msg
+
+and emit vc ~env ~n (e : col Typed.t) : col =
+  let go = emit vc ~env ~n in
+  let both arr a b =
+    let xa = arr (go a) in
+    (xa, arr (go b))
+  in
+  let int_op ?(ty = Vtype.Int) f a b =
+    let xa, xb = both ints a b in
+    CI (Array.init n (fun i -> f xa.(i) xb.(i)), ty)
+  in
+  let mask f = CI (Array.init n f, Vtype.Bool) in
+  match e.Typed.node with
+  | Typed.Const v -> broadcast vc n v
+  | Typed.Param p -> (
+    match e.Typed.ty with
+    | Vtype.Float -> CF (Array.make n (Engine_intf.float_register vc.params p))
+    | ty -> CI (Array.make n (Engine_intf.int_register vc.dict vc.params p), ty))
+  | Typed.Var _ -> assert false (* datasets type as records *)
+  | Typed.Field (v, field) ->
+    let ds = List.assoc v env in
+    gather (find_col ds.rel field) ds.sel
+  | Typed.Nested c -> c
+  | Typed.To_float x -> CF (Array.map float_of_int (ints (go x)))
+  | Typed.Neg x -> (
+    match go x with
+    | CF a -> CF (Array.map (fun x -> -.x) a)
+    | c -> CI (Array.map (fun x -> -x) (ints c), Vtype.Int))
+  | Typed.Not x -> CI (Array.map (fun x -> 1 - x) (ints (go x)), Vtype.Bool)
+  | Typed.And (a, b) -> int_op ~ty:Vtype.Bool ( land ) a b
+  | Typed.Or (a, b) -> int_op ~ty:Vtype.Bool ( lor ) a b
+  | Typed.Arith (op, a, b) when Vtype.equal e.Typed.ty Vtype.Float ->
+    let f = Typed.float_arith op and xa, xb = both floats a b in
+    CF (Array.init n (fun i -> f xa.(i) xb.(i)))
+  | Typed.Arith (op, a, b) -> int_op (Typed.int_arith op) a b
+  | Typed.Int_div (a, b) -> int_op ( / ) a b
+  | Typed.Int_mod (a, b) -> int_op ( mod ) a b
+  | Typed.Cmp (op, a, b) ->
+    let test = Typed.test op and xa, xb = both ints a b in
+    mask (fun i -> Bool.to_int (test (Int.compare xa.(i) xb.(i))))
+  | Typed.Fcmp (op, a, b) ->
+    let test = Typed.test op and xa, xb = both floats a b in
+    mask (fun i -> Bool.to_int (test (Float.compare xa.(i) xb.(i))))
+  | Typed.Scmp (op, a, b) ->
+    let test = Typed.test op and d = vc.dict and xa, xb = both ints a b in
+    mask (fun i -> Bool.to_int (test (String.compare (Dict.get d xa.(i)) (Dict.get d xb.(i)))))
+  | Typed.If (c, a, b) -> (
+    let cv = ints (go c) in
+    let pick ta ea = Array.init n (fun i -> if cv.(i) <> 0 then ta.(i) else ea.(i)) in
+    match e.Typed.ty with
+    | Vtype.Float -> CF (pick (floats (go a)) (floats (go b)))
+    | ty -> CI (pick (ints (go a)) (ints (go b)), ty))
+  | Typed.Call (Ast.Abs, [ x ]) when Vtype.equal x.Typed.ty Vtype.Float ->
+    CF (Array.map Float.abs (floats (go x)))
+  | Typed.Call (f, args) -> (
+    let g = Typed.call_image ~decode:(Dict.get vc.dict) ~intern:(Dict.intern vc.dict) f in
+    match List.map (fun a -> ints (go a)) args with
+    | [ xa ] -> CI (Array.map (fun x -> g x 0) xa, e.Typed.ty)
+    | [ xa; xb ] -> CI (Array.init n (fun i -> g xa.(i) xb.(i)), e.Typed.ty)
+    | _ -> unsupported "vectorized call %s" (Lq_expr.Pretty.func_name f))
 
 (* ---------- Key hashing over composite integer images ---------- *)
 
@@ -304,23 +246,6 @@ let slots_of_keys (parts : int array list) n =
   (slots, !count, tbl)
 
 (* ---------- Operator compilation (column-at-a-time) ---------- *)
-
-let rewrite_gkey gvar body =
-  let rec rw (e : Ast.expr) : Ast.expr =
-    match e with
-    | Ast.Member (Ast.Var v, k)
-      when String.equal v gvar && String.equal k Ast.group_key_field ->
-      Ast.Var "__gkey"
-    | Ast.Const _ | Ast.Param _ | Ast.Var _ -> e
-    | Ast.Member (r, f) -> Ast.Member (rw r, f)
-    | Ast.Unop (op, e) -> Ast.Unop (op, rw e)
-    | Ast.Binop (op, a, b) -> Ast.Binop (op, rw a, rw b)
-    | Ast.If (a, b, c) -> Ast.If (rw a, rw b, rw c)
-    | Ast.Call (f, args) -> Ast.Call (f, List.map rw args)
-    | Ast.Agg _ | Ast.Subquery _ -> e
-    | Ast.Record_of fields -> Ast.Record_of (List.map (fun (n, e) -> (n, rw e)) fields)
-  in
-  rw body
 
 let scalar_field = "__val"
 
@@ -552,16 +477,16 @@ let rec run vc cat (p : P.t) : dataset =
       | _ -> None
     in
     let gkey_ds = { rel = gkey_rel; sel = None } in
-    let body = rewrite_gkey gvar result.Ast.body in
+    let body = P.rewrite_gkey gvar result.Ast.body in
     (* A scalar key arrives as a bare [Var __gkey]: route it through the
        single key column. *)
     let body =
       match gkey_rel.cols with
       | [ (f, _) ] when String.equal f scalar_field ->
-        Ast.subst [ ("__gkey", Ast.Member (Ast.Var "__gkey", scalar_field)) ] body
+        Ast.subst [ (P.gkey_var, Ast.Member (Ast.Var P.gkey_var, scalar_field)) ] body
       | _ -> body
     in
-    let genv = [ ("__gkey", gkey_ds) ] in
+    let genv = [ (P.gkey_var, gkey_ds) ] in
     let eval_field e = veval vc ~env:genv ~on_agg ~n:ngroups e in
     match body with
     | Ast.Record_of fields ->
@@ -618,7 +543,7 @@ and apply_pred vc ds (pred : P.pred) =
     let n = ds_len ds in
     match pred.P.lambda.Ast.params with
     | [ p ] ->
-      let mask = bool_arr (veval vc ~env:[ (p, ds) ] ~n pred.P.lambda.Ast.body) in
+      let mask = ints (veval vc ~env:[ (p, ds) ] ~n pred.P.lambda.Ast.body) in
       { rel = ds.rel; sel = Some (Selvec.of_mask ?base:ds.sel mask) }
     | _ -> unsupported "vectorized filter arity")
 
@@ -652,7 +577,7 @@ and probe_pred vc ds (pred : P.pred) : Selvec.t option =
          distinct values, reusing the ordinary kernels. *)
       let keep_mask (values : col) k =
         let mini = { rel = { n = k; cols = [ (f, values) ] }; sel = None } in
-        bool_arr (veval vc ~env:[ (p, mini) ] ~n:k body)
+        ints (veval vc ~env:[ (p, mini) ] ~n:k body)
       in
       match e.data with
       | Colstore.Dict_ints { codes; values } ->

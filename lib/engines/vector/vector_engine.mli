@@ -10,5 +10,3 @@
 
 val engine : Lq_catalog.Engine_intf.t
 
-val vector_size : int
-(** Nominal vector granularity used by the primitive loops (1024). *)

@@ -1,3 +1,5 @@
+open Lq_value
+
 (* Generic rewrite of every [Const] leaf, in a fixed pre-order traversal
    used by both extraction and rebinding so the two always line up. *)
 
@@ -88,6 +90,31 @@ let replace_consts q values =
   if !remaining <> [] then invalid_arg "Shape.replace_consts: too many constants";
   result
 
+(* A hoisted constant's name records its type, [__c<i><tag>], so queries
+   that differ only in a constant's type get distinct plan shapes and the
+   flat backends can type the parameter exactly. *)
+let type_tags =
+  [
+    ('i', Vtype.Int); ('f', Vtype.Float); ('s', Vtype.String); ('d', Vtype.Date);
+    ('b', Vtype.Bool);
+  ]
+
+let const_name i v =
+  let tag =
+    Option.bind (Value.type_of v) (fun ty ->
+        List.find_map (fun (c, t) -> if Vtype.equal t ty then Some c else None) type_tags)
+  in
+  Printf.sprintf "__c%d%c" i (Option.value tag ~default:'v')
+
+let const_type name =
+  let n = String.length name in
+  let rec digits i = i = n - 1 || (name.[i] >= '0' && name.[i] <= '9' && digits (i + 1)) in
+  if n >= 5 && String.starts_with ~prefix:"__c" name && digits 3 then
+    List.assoc_opt name.[n - 1] type_tags
+  else None
+
+let const_params consts = List.mapi (fun i v -> (const_name i v, v)) consts
+
 let parameterize q =
   let bindings = ref [] in
   let q' =
@@ -98,7 +125,7 @@ let parameterize q =
     let rec rebuild_expr (e : Ast.expr) : Ast.expr =
       match e with
       | Ast.Const v ->
-        let name = Printf.sprintf "__c%d" !n in
+        let name = const_name !n v in
         incr n;
         bindings := (name, v) :: !bindings;
         Ast.Param name

@@ -23,8 +23,20 @@ val replace_consts : Ast.query -> Value.t list -> Ast.query
     as {!consts}. @raise Invalid_argument when the arity differs. *)
 
 val parameterize : Ast.query -> Ast.query * (string * Value.t) list
-(** Replaces each constant by a fresh [Param "__c<i>"] and returns the
-    bindings — an alternative, fully explicit way to run a cached plan. *)
+(** Replaces each constant by a fresh parameter named by {!const_name} and
+    returns the bindings — an alternative, fully explicit way to run a
+    cached plan. *)
+
+val const_name : int -> Value.t -> string
+(** Name of the [i]-th hoisted constant, ["__c<i><tag>"]: the tag records
+    the constant's type, so queries that differ only in a constant's type
+    parameterize to different shapes. *)
+
+val const_type : string -> Vtype.t option
+(** The type a hoisted constant's name records; [None] for other names. *)
+
+val const_params : Value.t list -> (string * Value.t) list
+(** Bindings for {!consts}, under the names {!parameterize} gives. *)
 
 val compatible : Ast.query -> Ast.query -> bool
 (** Whether two queries share a shape (identical up to constant values of

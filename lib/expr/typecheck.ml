@@ -26,6 +26,31 @@ let comparable a b =
     if not (Vtype.equal a b) then
       error "comparison between incompatible types %a and %a" Vtype.pp a Vtype.pp b
 
+let signature (f : Ast.func) =
+  let str = Vtype.String in
+  match f with
+  | Ast.Starts_with | Ast.Ends_with | Ast.Contains | Ast.Like ->
+    Some ([ str; str ], Vtype.Bool)
+  | Ast.Lower | Ast.Upper -> Some ([ str ], str)
+  | Ast.Length -> Some ([ str ], Vtype.Int)
+  | Ast.Year -> Some ([ Vtype.Date ], Vtype.Int)
+  | Ast.Add_days -> Some ([ Vtype.Date; Vtype.Int ], Vtype.Date)
+  | Ast.Abs -> None
+
+let call_result (f : Ast.func) tys =
+  match (signature f, tys) with
+  | None, [ ((Vtype.Int | Vtype.Float) as ty) ] -> ty
+  | None, _ -> error "%s expects one numeric argument" (Pretty.func_name f)
+  | Some (expected, result), _ ->
+    if
+      List.length tys <> List.length expected
+      || not (List.for_all2 Vtype.equal tys expected)
+    then
+      error "%s expects (%s), got (%s)" (Pretty.func_name f)
+        (String.concat ", " (List.map Vtype.to_string expected))
+        (String.concat ", " (List.map Vtype.to_string tys));
+    result
+
 let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
   match e with
   | Ast.Const v -> (
@@ -66,7 +91,7 @@ let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
       if Vtype.equal tt et then tt
       else error "if branches have types %a and %a" Vtype.pp tt Vtype.pp et
     | ty -> error "if condition has type %a" Vtype.pp ty)
-  | Ast.Call (f, args) -> call_type te ~env f args
+  | Ast.Call (f, args) -> call_result f (List.map (expr_type te ~env) args)
   | Ast.Agg (kind, src, sel) -> (
     let elem_ty =
       match expr_type te ~env src with
@@ -99,50 +124,6 @@ let rec expr_type te ~env (e : Ast.expr) : Vtype.t =
   | Ast.Subquery q -> Vtype.List (query_type te ~env q)
   | Ast.Record_of fields ->
     Vtype.Record (List.map (fun (n, e) -> (n, expr_type te ~env e)) fields)
-
-and call_type te ~env (f : Ast.func) args =
-  let tys = List.map (expr_type te ~env) args in
-  let expect name expected =
-    if
-      List.length tys <> List.length expected
-      || not (List.for_all2 Vtype.equal tys expected)
-    then
-      error "%s expects (%s), got (%s)" name
-        (String.concat ", " (List.map Vtype.to_string expected))
-        (String.concat ", " (List.map Vtype.to_string tys))
-  in
-  match f with
-  | Ast.Starts_with ->
-    expect "StartsWith" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Ends_with ->
-    expect "EndsWith" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Contains ->
-    expect "Contains" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Like ->
-    expect "Like" [ Vtype.String; Vtype.String ];
-    Vtype.Bool
-  | Ast.Lower ->
-    expect "Lower" [ Vtype.String ];
-    Vtype.String
-  | Ast.Upper ->
-    expect "Upper" [ Vtype.String ];
-    Vtype.String
-  | Ast.Length ->
-    expect "Length" [ Vtype.String ];
-    Vtype.Int
-  | Ast.Abs -> (
-    match tys with
-    | [ (Vtype.Int | Vtype.Float) ] -> List.hd tys
-    | _ -> error "Abs expects one numeric argument")
-  | Ast.Year ->
-    expect "Year" [ Vtype.Date ];
-    Vtype.Int
-  | Ast.Add_days ->
-    expect "AddDays" [ Vtype.Date; Vtype.Int ];
-    Vtype.Date
 
 and apply_type te ~env (l : Ast.lambda) arg_tys =
   if List.length l.params <> List.length arg_tys then

@@ -24,6 +24,19 @@ val tenv :
   ?source_type:(string -> Vtype.t) -> ?param_type:(string -> Vtype.t) -> unit -> tenv
 (** Defaults raise {!Type_error} for every name. *)
 
+(** {2 Rules shared with {!Typed}} — each raises {!Type_error}. *)
+
+val numeric_join : Vtype.t -> Vtype.t -> Vtype.t
+(** Arithmetic result type: [Int] for two ints, else [Float]. *)
+
+val comparable : Vtype.t -> Vtype.t -> unit
+(** Accepts two numeric types or two equal types. *)
+
+val signature : Ast.func -> (Vtype.t list * Vtype.t) option
+(** Argument and result types of a built-in; [None] for [Abs]. *)
+
+val call_result : Ast.func -> Vtype.t list -> Vtype.t
+
 val expr_type : tenv -> env:(string * Vtype.t) list -> Ast.expr -> Vtype.t
 (** Type of a scalar expression under lambda-variable typings [env]. *)
 

@@ -44,12 +44,7 @@ let snapshot cache dict =
     Atomic.set cache (Some (n, db, dofs));
     (db, dofs)
 
-(* --- register binding (mirrors Nexpr.bind_params) -------------------- *)
-
-let lookup params name =
-  match List.assoc_opt name params with
-  | Some v -> v
-  | None -> Engine_intf.execution_failed "unbound query parameter %S" name
+(* --- register binding --------------------------------------------------- *)
 
 let pack_int_params dict params (int_params : Codegen_c.cparam list) =
   let ip = Bytes.create (8 * List.length int_params) in
@@ -58,15 +53,7 @@ let pack_int_params dict params (int_params : Codegen_c.cparam list) =
       let v =
         match p with
         | Codegen_c.Str_const s -> Dict.intern dict s
-        | Codegen_c.Named name -> (
-          match lookup params name with
-          | Value.Int i -> i
-          | Value.Date d -> d
-          | Value.Bool b -> if b then 1 else 0
-          | Value.Str s -> Dict.intern dict s
-          | v ->
-            Engine_intf.execution_failed "parameter %S: expected integer-like, got %s" name
-              (Value.to_string v))
+        | Codegen_c.Named name -> Engine_intf.int_register dict params name
       in
       Bytes.set_int64_le ip (i * 8) (Int64.of_int v))
     int_params;
@@ -76,7 +63,8 @@ let pack_float_params params float_params =
   let fp = Bytes.create (8 * List.length float_params) in
   List.iteri
     (fun i name ->
-      Bytes.set_int64_le fp (i * 8) (Int64.bits_of_float (Value.to_float (lookup params name))))
+      Bytes.set_int64_le fp (i * 8)
+        (Int64.bits_of_float (Engine_intf.float_register params name)))
     float_params;
   fp
 
@@ -149,7 +137,9 @@ let call_native (art : Backend.artifact) (inp : Validate.input) =
       Dl.raw_call art.Backend.fn inp.Validate.srcs inp.Validate.nrows inp.Validate.ip
         inp.Validate.fp inp.Validate.db inp.Validate.dofs out cap
     in
-    if total < 0 then Engine_intf.execution_failed "jit: native arena out of memory"
+    (* The interpreted tier's closure raises the same exception. *)
+    if total = Codegen_c.div_by_zero then raise Division_by_zero
+    else if total < 0 then Engine_intf.execution_failed "jit: native arena out of memory"
     else if total > cap then call total
     else (out, total)
   in

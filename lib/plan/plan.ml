@@ -174,6 +174,31 @@ module Registry = struct
     idx
 end
 
+(* Group-key reference rewriting, shared by the flat backends: [g.Key]
+   becomes the variable [__gkey], bound to the key element, so composite
+   keys support [g.Key.f] chains. *)
+let gkey_var = "__gkey"
+
+let rec rewrite_gkey gvar (e : Ast.expr) : Ast.expr =
+  match e with
+  | Ast.Member (Ast.Var v, k)
+    when String.equal v gvar && String.equal k Ast.group_key_field ->
+    Ast.Var gkey_var
+  | Ast.Const _ | Ast.Param _ | Ast.Var _ -> e
+  | Ast.Member (r, f) -> Ast.Member (rewrite_gkey gvar r, f)
+  | Ast.Unop (op, e) -> Ast.Unop (op, rewrite_gkey gvar e)
+  | Ast.Binop (op, a, b) -> Ast.Binop (op, rewrite_gkey gvar a, rewrite_gkey gvar b)
+  | Ast.If (c, t, e) ->
+    Ast.If (rewrite_gkey gvar c, rewrite_gkey gvar t, rewrite_gkey gvar e)
+  | Ast.Call (f, args) -> Ast.Call (f, List.map (rewrite_gkey gvar) args)
+  | Ast.Agg (k, src, sel) ->
+    (* Aggregate sources stay (the hook matches on [Var g]); selector
+       bodies cannot see [g]. *)
+    Ast.Agg (k, src, sel)
+  | Ast.Subquery _ -> e
+  | Ast.Record_of fields ->
+    Ast.Record_of (List.map (fun (n, e) -> (n, rewrite_gkey gvar e)) fields)
+
 (* --- feature extraction and the capability check -------------------- *)
 
 type features = {

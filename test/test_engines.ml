@@ -107,6 +107,12 @@ let edge_cases =
       |> distinct );
     ( "top-k with parameter",
       source "sales" |> order_by [ ("s", v "s" $. "price", desc) ] |> take_param "k" );
+    (* A hoisted float constant beside an int column keeps its float type:
+       the column is promoted, not the constant truncated. *)
+    ( "int column times float literal",
+      source "sales" |> select "s" ((v "s" $. "qty") *: float 1.5) );
+    ( "int column below float literal",
+      source "sales" |> where "s" (v "s" $. "qty" <: float 25.5) |> select "s" (v "s" $. "id") );
   ]
 
 let test_edge_cases () =
@@ -144,19 +150,37 @@ let test_params_across_engines () =
 (* --- plan reuse: prepared queries re-execute and rebind --- *)
 
 let test_prepared_reuse () =
-  let q n = source "sales" |> where "s" (v "s" $. "qty" >: int n) |> select "s" (v "s" $. "id") in
+  let q c = source "sales" |> where "s" (v "s" $. "qty" >: c) |> select "s" (v "s" $. "id") in
+  List.iter
+    (fun (c1, c2) ->
+      List.iter
+        (fun (engine : Engine_intf.t) ->
+          match Lq_core.Provider.run prov ~engine (q c1) with
+          | exception Engine_intf.Unsupported _ -> ()
+          | first ->
+            (* Same shape, different constant: the second run reuses the
+               cached plan and must still be correct. A constant of another
+               type is another shape. *)
+            let second = Lq_core.Provider.run prov ~engine (q c2) in
+            let expected1 = Lq_core.Provider.reference prov (q c1) in
+            let expected2 = Lq_core.Provider.reference prov (q c2) in
+            check_bool ("reuse first " ^ engine.name) true (Lq_testkit.rows_equal expected1 first);
+            check_bool ("reuse second " ^ engine.name) true
+              (Lq_testkit.rows_equal expected2 second))
+        all_engines)
+    [ (int 10, int 45); (int 25, float 25.5) ]
+
+(* Integer division by zero is a typed fault on every engine that accepts
+   the query, never a crash. *)
+let test_division_by_zero () =
+  let qty = v "s" $. "qty" in
+  let q = source "sales" |> select "s" (qty /: (qty -: qty)) in
   List.iter
     (fun (engine : Engine_intf.t) ->
-      match Lq_core.Provider.run prov ~engine (q 10) with
-      | exception Engine_intf.Unsupported _ -> ()
-      | first ->
-        (* same shape, different constant: must hit the cache and still be
-           correct *)
-        let second = Lq_core.Provider.run prov ~engine (q 45) in
-        let expected10 = Lq_core.Provider.reference prov (q 10) in
-        let expected45 = Lq_core.Provider.reference prov (q 45) in
-        check_bool ("reuse first " ^ engine.name) true (Lq_testkit.rows_equal expected10 first);
-        check_bool ("reuse second " ^ engine.name) true (Lq_testkit.rows_equal expected45 second))
+      check_bool ("typed fault / " ^ engine.name) true
+        (match Lq_core.Provider.run prov ~engine q with
+        | exception (Lq_fault.Fault _ | Engine_intf.Unsupported _) -> true
+        | _ -> false))
     all_engines
 
 (* --- codegen options (the §2.3 ablations) --- *)
@@ -271,6 +295,7 @@ let () =
           Alcotest.test_case "corpus" `Quick test_edge_cases;
           Alcotest.test_case "parameters" `Quick test_params_across_engines;
           Alcotest.test_case "prepared reuse" `Quick test_prepared_reuse;
+          Alcotest.test_case "division by zero" `Quick test_division_by_zero;
         ] );
       ("ablations", [ prop_ablations; Alcotest.test_case "loop segments" `Quick test_loop_segments ]);
       ( "boundaries",

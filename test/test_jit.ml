@@ -542,6 +542,65 @@ let prop_validated_differential =
               count "service/jit/validation_failures" = fails0
             | `Disagree _ -> false))
 
+(* --- promoted code keeps the interpreted tier's semantics --------------- *)
+
+(* Promote [q] under [promote], then run it again under [params] on the
+   jit tier; the second run's result or fault. *)
+let run_promoted prov q ~promote ~params =
+  ignore (Lq_core.Provider.run prov ~engine:jit ~params:promote q);
+  let jit0 = count "service/jit/exec_jit" in
+  let result =
+    match Lq_core.Provider.run prov ~engine:jit ~params q with
+    | rows -> Ok rows
+    | exception Lq_fault.Fault f -> Error f
+  in
+  check_bool "served from the jit tier" true (count "service/jit/exec_jit" > jit0);
+  result
+
+let first_sale prov field =
+  match
+    Lq_core.Provider.reference prov
+      Lq_expr.Dsl.(source "sales" |> take 1 |> select "s" (v "s" $. field))
+  with
+  | [ x ] -> x
+  | _ -> Alcotest.fail "empty sales table"
+
+let test_int_division_by_zero () =
+  with_env [ ("LQ_JIT_MODE", "sync"); ("LQ_JIT", "on") ] (fun () ->
+    ignore (fresh_cache_dir ());
+    let prov = Lq_core.Provider.create (Lq_testkit.sales_catalog ()) in
+    let q =
+      Lq_expr.Dsl.(
+        source "sales" |> select "s" ((v "s" $. "qty") /: ((v "s" $. "qty") -: p "k")))
+    in
+    let params = [ ("k", first_sale prov "qty") ] in
+    match run_promoted prov q ~promote:[ ("k", Value.Int 1000) ] ~params with
+    | Ok _ -> Alcotest.fail "division by zero returned rows"
+    | Error f -> (
+      match Lq_core.Provider.run prov ~engine:Lq_core.Engines.compiled_c ~params q with
+      | _ -> Alcotest.fail "the interpreted tier returned rows"
+      | exception Lq_fault.Fault g ->
+        check_bool "the interpreted tier's typed fault" true
+          (f.Lq_fault.kind = g.Lq_fault.kind && f.Lq_fault.detail = g.Lq_fault.detail)))
+
+let test_nan_comparison () =
+  with_env [ ("LQ_JIT_MODE", "sync"); ("LQ_JIT", "on") ] (fun () ->
+    ignore (fresh_cache_dir ());
+    let prov = Lq_core.Provider.create (Lq_testkit.sales_catalog ()) in
+    let q =
+      Lq_expr.Dsl.(
+        let z = ((v "s" $. "price") -: p "a") /: ((v "s" $. "price") -: p "a") in
+        source "sales" |> where "s" (z =: z) |> select "s" (v "s" $. "id"))
+    in
+    (* 0/0 is NaN where the price equals [a]; Float.compare makes NaN
+       equal to itself, so the reference keeps those rows. *)
+    let params = [ ("a", first_sale prov "price") ] in
+    match run_promoted prov q ~promote:[ ("a", Value.Float 1000.0) ] ~params with
+    | Error _ -> Alcotest.fail "NaN comparison faulted"
+    | Ok rows ->
+      check_bool "jit rows = reference rows" true
+        (rows_equal (Lq_core.Provider.reference prov ~params q) rows))
+
 (* --- unsupported shapes serve interpreted, engine stays total ---------- *)
 
 let test_unsupported_serves_interpreted () =
@@ -585,6 +644,10 @@ let () =
             (requires_cc test_jit_off);
           Alcotest.test_case "unsupported shape serves interpreted" `Quick
             (requires_cc test_unsupported_serves_interpreted);
+          Alcotest.test_case "integer division by zero is a typed fault" `Quick
+            (requires_cc test_int_division_by_zero);
+          Alcotest.test_case "float comparison follows Float.compare on NaN" `Quick
+            (requires_cc test_nan_comparison);
         ] );
       ( "validation",
         [
