@@ -72,7 +72,7 @@ let print_series ~xlabel ~xs ~series =
       List.iter (fun (_, cell) -> Printf.printf " %16s" (cell x)) series;
       print_newline ())
     xs;
-  print_string "%!"
+  flush stdout
 
 let fmt_ms = function
   | Some (ms, _) -> Printf.sprintf "%.1f" ms
@@ -767,10 +767,10 @@ let jit () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* morsel scheduling vs the static contiguous split (wall-clock) *)
+(* morsel-driven scheduling vs sequential C (wall-clock) *)
 
 let morsel () =
-  header "Morsel-driven scheduling vs static contiguous split (wall-clock)";
+  header "Morsel-driven scheduling vs sequential C (wall-clock)";
   let prov = Lazy.force provider in
   let w = Lq_tpch.Workloads.aggregation in
   let params = Lq_tpch.Workloads.params ~sel:1.0 in
@@ -782,14 +782,9 @@ let morsel () =
     | _ -> string_of_int Lq_parallel.Parallel_engine.default_morsel_size);
   List.iter
     (fun domains ->
-      let time mode =
-        time_query prov (Lq_parallel.Parallel_engine.make ~mode ~domains ()) w params
-      in
-      let static = time Lq_parallel.Parallel_engine.Static in
-      let morsels = time Lq_parallel.Parallel_engine.Morsel in
-      Printf.printf
-        "  %d domain(s)   static %8.1f ms   morsel %8.1f ms   (%.2fx / %.2fx vs seq)\n%!"
-        domains static morsels (seq /. static) (seq /. morsels))
+      let ms = time_query prov (Lq_parallel.Parallel_engine.engine_with ~domains) w params in
+      Printf.printf "  %d domain(s)   morsel %8.1f ms   (%.2fx vs seq)\n%!" domains ms
+        (seq /. ms))
     [ 1; 2; 4 ]
 
 let all_experiments =

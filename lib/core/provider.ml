@@ -13,8 +13,8 @@ type t = {
 }
 
 let create ?(optimizer = Optimizer.default) ?(use_cache = true)
-    ?(recycle_results = false) ?query_cache_entries ?admission
-    ?result_cache_entries ?result_cache_rows cat =
+    ?(recycle_results = false) ?query_cache_entries ?result_cache_entries
+    ?result_cache_rows cat =
   let results =
     if recycle_results then
       Some
@@ -22,7 +22,7 @@ let create ?(optimizer = Optimizer.default) ?(use_cache = true)
            ?max_rows:result_cache_rows ())
     else None
   in
-  let cache = Query_cache.create ?max_entries:query_cache_entries ?admission () in
+  let cache = Query_cache.create ?max_entries:query_cache_entries () in
   (* The catalog tells us which table changed; stale compiled plans and
      recycled results are dropped table-by-table, untouched tables keep
      their entries. *)

@@ -22,7 +22,6 @@ val create :
   ?use_cache:bool ->
   ?recycle_results:bool ->
   ?query_cache_entries:int ->
-  ?admission:Query_cache.admission ->
   ?result_cache_entries:int ->
   ?result_cache_rows:int ->
   Lq_catalog.Catalog.t ->
@@ -34,10 +33,9 @@ val create :
     the recycled results of the mutated table.
 
     [query_cache_entries] bounds the compiled-plan LRU (0 disables it,
-    negative unbounds it; default {!Query_cache.default_capacity}), and
-    [admission] selects its eviction policy. [result_cache_entries] /
-    [result_cache_rows] bound the result LRU by entry count and by total
-    cached rows.
+    negative unbounds it; default {!Query_cache.default_capacity}).
+    [result_cache_entries] / [result_cache_rows] bound the result LRU by
+    entry count and by total cached rows.
 
     A provider may be shared between Domains: both caches are
     mutex-guarded, and plan compilation happens outside the lock. *)

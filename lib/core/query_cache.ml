@@ -1,8 +1,5 @@
 module Counters = Lq_metrics.Counters
-
-type admission =
-  | Admit_all
-  | Cost_aware of float
+module Lru = Lq_lru.Lru
 
 type stats = {
   hits : int;
@@ -15,24 +12,21 @@ type stats = {
 
 type entry = {
   prepared : Lq_catalog.Engine_intf.prepared;
-  cost_ms : float;  (** reported codegen cost, the admission currency *)
   tables : string list;  (** source tables baked into the plan *)
 }
 
 type t = {
   mu : Mutex.t;
   lru : entry Lru.t;
-  admission : admission;
   counters : Counters.t;
 }
 
 let default_capacity = 256
 
-let create ?(max_entries = default_capacity) ?(admission = Admit_all) () =
+let create ?(max_entries = default_capacity) () =
   {
     mu = Mutex.create ();
     lru = Lru.create ~max_entries ();
-    admission;
     counters = Counters.create ();
   }
 
@@ -74,26 +68,11 @@ let find_or_compile t ~engine ~shape ?(tables = []) ~compile () =
         Counters.incr t.counters ("misses/" ^ engine);
         Counters.add_ms t.counters "compile_ms" cost_ms;
         Counters.add_ms t.counters ("compile_ms/" ^ engine) cost_ms;
-        if not (Lru.mem t.lru key) then begin
-          (* Cost-aware admission: when full, a newcomer much cheaper to
-             rebuild than the would-be victim is not worth the eviction —
-             re-compiling the newcomer later costs less than re-compiling
-             the victim would. *)
-          let cap = Lru.max_entries t.lru in
-          let reject =
-            match (t.admission, Lru.peek_lru t.lru) with
-            | Cost_aware factor, Some (_, victim)
-              when cap >= 0 && Lru.length t.lru >= cap ->
-              victim.cost_ms > cost_ms *. factor
-            | _ -> false
-          in
-          if reject then Counters.incr t.counters "rejected"
-          else
-            match Lru.add t.lru ~key { prepared; cost_ms; tables } with
-            | Some evicted ->
-              Counters.incr ~by:(List.length evicted) t.counters "evictions"
-            | None -> Counters.incr t.counters "rejected"
-        end);
+        if not (Lru.mem t.lru key) then
+          match Lru.add t.lru ~key { prepared; tables } with
+          | Some evicted ->
+            Counters.incr ~by:(List.length evicted) t.counters "evictions"
+          | None -> Counters.incr t.counters "rejected");
     (prepared, `Miss)
 
 (* Compiled plans bind their sources at prepare time (the native backend

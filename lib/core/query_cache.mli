@@ -9,27 +9,19 @@
 
     The store is a bounded LRU ({!Lru}): capacity 0 disables caching
     entirely (every lookup compiles and counts as a miss), a negative
-    capacity removes the bound. With {!Cost_aware} admission, a full cache
-    refuses to evict a plan that was much more expensive to compile than
-    the newcomer (e.g. a native plan for an interpreted one) — the
-    newcomer simply runs uncached and is counted under [rejected].
+    capacity removes the bound.
 
     All operations are Domain-safe behind an internal mutex. Compilation
     itself runs outside the lock, so concurrent providers can hit the
     cache while one of them compiles; two Domains racing to compile the
     same shape at worst duplicate one compilation. *)
 
-type admission =
-  | Admit_all  (** plain LRU: the newcomer always displaces the victim *)
-  | Cost_aware of float
-      (** keep the victim when [victim_cost > factor *. newcomer_cost] *)
-
 type stats = {
   hits : int;
   misses : int;
   entries : int;
   evictions : int;  (** entries displaced by capacity pressure *)
-  rejected : int;  (** compilations refused admission (cost-aware) *)
+  rejected : int;  (** compilations the store could not admit (capacity 0) *)
   compile_ms : float;  (** total reported codegen cost of all misses *)
 }
 
@@ -38,7 +30,7 @@ type t
 val default_capacity : int
 (** 256 entries. *)
 
-val create : ?max_entries:int -> ?admission:admission -> unit -> t
+val create : ?max_entries:int -> unit -> t
 
 val find_or_compile :
   t ->

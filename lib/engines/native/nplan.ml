@@ -654,9 +654,8 @@ let compile_lowered ?trace ?(override = fun _ -> None) cat
     mu = Mutex.create ();
   }
 
-let compile ?(options = Lq_plan.Options.default) ?trace ?override cat
-    (query : Ast.query) : t =
-  compile_lowered ?trace ?override cat (Lq_plan.Lower.lower ~options cat query)
+let compile ?trace ?override cat (query : Ast.query) : t =
+  compile_lowered ?trace ?override cat (Lq_plan.Lower.lower cat query)
 
 (* A compiled plan is a bundle of closures over shared cursors, parameter
    cells and accumulator arrays — one execution at a time. The cache hands

@@ -35,7 +35,6 @@ type external_source = {
 }
 
 val compile :
-  ?options:Lq_plan.Options.t ->
   ?trace:(int -> unit) ->
   ?override:(string -> external_source option) ->
   Lq_catalog.Catalog.t ->

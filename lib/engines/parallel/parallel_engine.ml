@@ -11,15 +11,18 @@ module P = Lq_plan.Plan
 let unsupported = Engine_intf.unsupported
 
 (* ------------------------------------------------------------------ *)
-(* Plan analysis: split into (pipeline over one source [+ grouping],
-   sequential remainder). *)
+(* Plan analysis: split the lowered plan into the partition fragment the
+   workers run (a pipeline over the one source [+ decomposable grouping])
+   and the sequential remainder. *)
 
-type partition_point =
+type partition =
   | Pipeline of P.t  (** Filter/Project chain over one Scan *)
-  | Grouped of P.aggregate  (** aggregation whose input is such a chain *)
+  | Grouped of P.aggregate * string * Ast.expr
+      (** aggregation over such a chain whose aggregates decompose into
+          mergeable partials, with its group variable and result body *)
 
-(* The remainder is the query with the partition point replaced by this
-   pseudo-source; it runs sequentially over the merged rows. *)
+(* The remainder is the plan with the partition node replaced by a scan of
+   this pseudo-source; it runs sequentially over the merged rows. *)
 let merged_source = "__merged"
 
 let rec is_pipeline (p : P.t) =
@@ -28,80 +31,49 @@ let rec is_pipeline (p : P.t) =
   | P.Filter (i, _) | P.Project (i, _) -> is_pipeline i
   | _ -> false
 
-let rec forbid_constructs (e : Ast.expr) =
-  match e with
-  | Ast.Subquery _ -> unsupported "sub-query (parallel backend)"
-  | Ast.Call ((Ast.Lower | Ast.Upper), _) ->
-    unsupported "runtime string interning (parallel backend)"
-  | Ast.Const _ | Ast.Param _ | Ast.Var _ -> ()
-  | Ast.Member (e, _) | Ast.Unop (_, e) -> forbid_constructs e
-  | Ast.Binop (_, a, b) ->
-    forbid_constructs a;
-    forbid_constructs b
-  | Ast.If (a, b, c) ->
-    forbid_constructs a;
-    forbid_constructs b;
-    forbid_constructs c
-  | Ast.Call (_, args) -> List.iter forbid_constructs args
-  | Ast.Agg (_, src, sel) ->
-    forbid_constructs src;
-    Option.iter (fun (l : Ast.lambda) -> forbid_constructs l.Ast.body) sel
-  | Ast.Record_of fields -> List.iter (fun (_, e) -> forbid_constructs e) fields
-
-let check_query q =
-  let check_lambda (l : Ast.lambda) = forbid_constructs l.Ast.body in
-  let rec go (q : Ast.query) =
-    (match q with
-    | Ast.Where (_, l) | Ast.Select (_, l) -> check_lambda l
-    | Ast.Group_by g ->
-      check_lambda g.key;
-      Option.iter check_lambda g.group_result
-    | Ast.Order_by (_, keys) -> List.iter (fun (k : Ast.sort_key) -> check_lambda k.Ast.by) keys
-    | _ -> ());
-    ignore (Ast.map_query_children (fun c -> go c; c) q)
-  in
-  go q
-
-(* Finds the partition point in the lowered plan and rebuilds the
-   remainder of the query around it (as an expression tree the sequential
-   evaluator interprets over the merged rows). *)
-let split (plan : P.t) : partition_point * Ast.query =
-  let found = ref None in
-  let rec go (p : P.t) : Ast.query =
-    match p.P.op with
-    | P.Aggregate ({ P.group_result = Some _; _ } as a)
-      when !found = None && is_pipeline a.P.input ->
-      found := Some (Grouped a);
-      Ast.Source merged_source
-    | _ when !found = None && is_pipeline p ->
-      found := Some (Pipeline p);
-      Ast.Source merged_source
-    | P.Scan s -> Ast.Source s.P.table
-    | P.Filter (i, preds) ->
-      List.fold_left (fun q (pr : P.pred) -> Ast.Where (q, pr.P.lambda)) (go i) preds
-    | P.Project (i, sel) -> Ast.Select (go i, sel)
-    | P.Join j ->
-      Ast.Join
+let merged_scan (p : P.t) =
+  {
+    p with
+    P.op =
+      P.Scan
         {
-          Ast.left = go j.P.left;
-          right = go j.P.right;
-          left_key = j.P.left_key;
-          right_key = j.P.right_key;
-          result = j.P.result;
-        }
-    | P.Aggregate a ->
-      Ast.Group_by
-        { Ast.group_source = go a.P.input; key = a.P.key; group_result = a.P.group_result }
-    | P.Sort (i, ks) -> Ast.Order_by (go i, ks)
-    | P.Top_k { input; keys; limit } -> Ast.Take (Ast.Order_by (go input, keys), limit)
-    | P.Limit (i, n) -> Ast.Take (go i, n)
-    | P.Offset (i, n) -> Ast.Skip (go i, n)
-    | P.Distinct i -> Ast.Distinct (go i)
-  in
-  let remainder = go plan in
-  match !found with
-  | Some point -> (point, remainder)
-  | None -> unsupported "no parallelizable pipeline found"
+          P.table = merged_source;
+          occ = merged_source;
+          known = false;
+          flat = true;
+          fields = None;
+          storage = P.Row;
+        };
+  }
+
+(* The topmost partitionable node on the path to the plan's one scan. A
+   grouping is partitioned only when its registry covers every use of the
+   group variable; one that reads [g.Items] or the group value whole is
+   left to the remainder, over the partitioned input. *)
+let rec split (p : P.t) : partition * P.t =
+  match p.P.op with
+  | P.Aggregate
+      ({
+         P.group_result = Some { Ast.params = [ gvar ]; body };
+         fused = true;
+         keep_items = false;
+         _;
+       } as a)
+    when is_pipeline a.P.input ->
+    (Grouped (a, gvar, body), merged_scan p)
+  | _ when is_pipeline p -> (Pipeline p, merged_scan p)
+  | _ -> (
+    match P.children p with
+    | [ child ] ->
+      let point, rest = split child in
+      (point, P.map_children (fun _ -> rest) p)
+    | _ -> unsupported "no parallelizable pipeline found")
+
+(* The table a fragment scans. *)
+let rec source_table (p : P.t) =
+  match p.P.op with
+  | P.Scan s -> s.P.table
+  | _ -> source_table (List.hd (P.children p))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate decomposition for parallel grouping. *)
@@ -147,13 +119,12 @@ let decompose (a : P.aggregate) gvar (body : Ast.expr) =
             Ast.Binop (Ast.Mul, read (P_sum s.P.sel), Ast.Const (Value.Float 1.0)),
             read P_count ))
     | Ast.Agg _ -> unsupported "aggregate source (parallel backend)"
-    | Ast.Const _ | Ast.Param _ | Ast.Var _ -> e
+    | Ast.Const _ | Ast.Param _ | Ast.Var _ | Ast.Subquery _ -> e
     | Ast.Member (e, f) -> Ast.Member (rewrite e, f)
     | Ast.Unop (op, e) -> Ast.Unop (op, rewrite e)
     | Ast.Binop (op, a, b) -> Ast.Binop (op, rewrite a, rewrite b)
     | Ast.If (a, b, c) -> Ast.If (rewrite a, rewrite b, rewrite c)
     | Ast.Call (f, args) -> Ast.Call (f, List.map rewrite args)
-    | Ast.Subquery _ -> unsupported "sub-query (parallel backend)"
     | Ast.Record_of fields ->
       Ast.Record_of (List.map (fun (n, e) -> (n, rewrite e)) fields)
   in
@@ -176,17 +147,6 @@ let combine (p : partial) a b =
   | P_min _ -> if Scalar.cmp a b <= 0 then a else b
   | P_max _ -> if Scalar.cmp a b >= 0 then a else b
 
-(* ------------------------------------------------------------------ *)
-
-let source_of_pipeline q =
-  let rec go = function
-    | Ast.Source name -> name
-    | Ast.Where (src, _) | Ast.Select (src, _) -> go src
-    | Ast.Group_by { group_source; _ } -> go group_source
-    | _ -> assert false
-  in
-  go q
-
 module Vtbl = Hashtbl.Make (struct
   type t = Value.t
 
@@ -194,25 +154,74 @@ module Vtbl = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+(* The workers' fragment for a decomposable grouping — the same
+   aggregation over the same lowered input, with a result selector that
+   emits the key and the partial accumulators — and the merge that
+   combines the partial rows per key (first-occurrence order across the
+   morsel-ordered chunks) and evaluates the original result body. *)
+let partial_grouping (a : P.aggregate) gvar body =
+  let partials, merged_body = decompose a gvar body in
+  let partial_fields = List.mapi partial_agg partials in
+  (* Composite keys are flattened into one partial column per part; the
+     merge phase reassembles the key record. *)
+  let gkey = Ast.Member (Ast.Var "__g", Ast.group_key_field) in
+  let key_fields, rebuild_key =
+    match a.P.key.Ast.body with
+    | Ast.Record_of fields ->
+      let names = List.map fst fields in
+      ( List.map (fun n -> ("__k_" ^ n, Ast.Member (gkey, n))) names,
+        fun row ->
+          Value.Record
+            (Array.of_list (List.map (fun n -> (n, Value.field row ("__k_" ^ n))) names))
+      )
+    | _ -> ([ ("__k", gkey) ], fun row -> Value.field row "__k")
+  in
+  let partial_selector = Ast.lam [ "__g" ] (Ast.Record_of (key_fields @ partial_fields)) in
+  let fragment =
+    Lq_plan.Lower.aggregate a.P.input ~key:a.P.key ~group_result:(Some partial_selector)
+  in
+  let merge ~params chunks =
+    let table = Vtbl.create 256 in
+    let order = ref [] in
+    List.iter
+      (List.iter (fun row ->
+           let k = rebuild_key row in
+           let accs = List.mapi (fun i _ -> Value.field row (partial_name i)) partials in
+           match Vtbl.find_opt table k with
+           | None ->
+             Vtbl.add table k (ref accs);
+             order := k :: !order
+           | Some cell ->
+             cell :=
+               List.map2 (fun p (a, b) -> combine p a b) partials (List.combine !cell accs)))
+      chunks;
+    List.rev_map
+      (fun k ->
+        let accs = !(Vtbl.find table k) in
+        let acc_record =
+          Value.Record (Array.of_list (List.mapi (fun i v -> (partial_name i, v)) accs))
+        in
+        (* the body reads the group only through [g.Key] and the merged
+           accumulators, so the group value carries no items *)
+        let env = [ ("__acc", acc_record); (gvar, Eval.group_value ~key:k ~items:[]) ] in
+        Eval.expr (Eval.ctx ~params ()) ~env merged_body)
+      !order
+  in
+  (fragment, merge)
+
 (* ------------------------------------------------------------------ *)
 (* Morsel-driven scheduling.
 
-   The static split hands each Domain one contiguous [nrows/workers]
-   range at prepare time, so one slow partition gates the query. Morsel
-   mode instead cuts the scan into small fixed-size work units that
-   worker Domains *pull* from a shared atomic counter: a worker that
-   drew cheap rows simply pulls more morsels. Results are keyed by
-   morsel id and reassembled in morsel order, so the merged output is
-   byte-identical to a sequential scan regardless of which Domain ran
-   which unit (and of the Domain count). Each morsel is also a
-   typed-fault / cancellation checkpoint: a chaos-injected or crashed
-   unit flips a shared abort flag that every worker polls between
+   The scan is cut into small fixed-size work units that worker Domains
+   *pull* from a shared atomic counter: a worker that drew cheap rows
+   simply pulls more morsels, so one slow range does not gate the query.
+   Results are keyed by morsel id and reassembled in morsel order, so the
+   merged output is byte-identical to a sequential scan regardless of
+   which Domain ran which unit (and of the Domain count). Each morsel is
+   also a typed-fault / cancellation checkpoint: a chaos-injected or
+   crashed unit flips a shared abort flag that every worker polls between
    pulls, and the coordinator joins every Domain before surfacing the
    fault. *)
-
-type mode =
-  | Static  (** one contiguous range per Domain, fixed at prepare *)
-  | Morsel  (** shared-queue work units of [LQ_MORSEL_SIZE] rows *)
 
 (* Process-global scheduler counters, surfaced by [Provider.report]. *)
 let counters = Lq_metrics.Counters.create ()
@@ -228,65 +237,54 @@ let morsel_size () =
     | _ -> default_morsel_size)
   | None -> default_morsel_size
 
-let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
+(* Partitioned scans only parallelize single-source pipelines whose
+   aggregates merge; strings crossing Domains would need interning. *)
+let caps =
+  {
+    Engine_intf.caps_any with
+    needs_flat_sources = true;
+    supports_correlated = false;
+    supports_subqueries = false;
+    supports_group_no_selector = false;
+    supports_interning = false;
+    max_sources = Some 1;
+  }
+
+let make ?name ~domains () : Engine_intf.t =
   let prepare ?instr cat (query : Ast.query) =
     ignore instr;
     let start = Lq_metrics.Profile.now_ms () in
-    check_query query;
-    if List.length (Ast.sources_of_query query) <> 1 then
-      unsupported "multiple sources (parallel backend)";
-    let point, remainder = split (Lq_plan.Lower.lower cat query) in
-    (* The per-domain query: the pipeline, grouped with partial
-       accumulators when the partition point is an aggregation. *)
-    let pipeline, merge_kind =
+    let plan = Lq_plan.Lower.lower cat query in
+    (match P.check caps plan with
+    | Ok () -> ()
+    | Error msg -> unsupported "%s (parallel backend)" msg);
+    let point, remainder = split plan in
+    let fragment, merge =
       match point with
-      | Pipeline p -> (P.to_ast p, `Concat)
-      | Grouped a ->
-        let key = a.P.key in
-        let result =
-          match a.P.group_result with Some r -> r | None -> assert false
-        in
-        let gvar =
-          match result.Ast.params with
-          | [ g ] -> g
-          | _ -> unsupported "group result arity (parallel)"
-        in
-        let partials, merged_body = decompose a gvar result.Ast.body in
-        let partial_fields = List.mapi partial_agg partials in
-        (* Composite keys are flattened into one partial column per part;
-           the merge phase reassembles the key record. *)
-        let gkey = Ast.Member (Ast.Var "__g", Ast.group_key_field) in
-        let key_fields, rebuild_key =
-          match key.Ast.body with
-          | Ast.Record_of fields ->
-            let names = List.map fst fields in
-            ( List.map (fun n -> ("__k_" ^ n, Ast.Member (gkey, n))) names,
-              fun row ->
-                Value.Record
-                  (Array.of_list
-                     (List.map (fun n -> (n, Value.field row ("__k_" ^ n))) names)) )
-          | _ -> ([ ("__k", gkey) ], fun row -> Value.field row "__k")
-        in
-        let partial_selector =
-          Ast.lam [ "__g" ] (Ast.Record_of (key_fields @ partial_fields))
-        in
-        ( Ast.Group_by
-            { group_source = P.to_ast a.P.input; key; group_result = Some partial_selector },
-          `Merge_groups (partials, merged_body, gvar, rebuild_key) )
+      | Pipeline p -> (p, fun ~params:_ chunks -> List.concat chunks)
+      | Grouped (a, gvar, body) -> partial_grouping a gvar body
     in
-    let source_name = source_of_pipeline pipeline in
-    let store = Catalog.store (Catalog.table cat source_name) in
+    (* Sequential remainder over the merged rows; the plan's one scan is
+       inside the fragment, so the remainder reads nothing else. *)
+    let finish =
+      match remainder.P.op with
+      | P.Scan _ -> fun ~params:_ merged -> merged
+      | _ ->
+        let q = P.to_ast remainder in
+        fun ~params merged -> Eval.run (Eval.ctx ~catalog:(fun _ -> merged) ~params ()) q
+    in
+    let source = source_table fragment in
+    let store = Catalog.store (Catalog.table cat source) in
     let nrows = Rowstore.length store in
     let workers = max 1 (min domains (max 1 nrows)) in
     (* One independent compiled plan per worker Domain, scanning whatever
-       row range its mutable cell holds when it executes: static mode
-       pins the cells once to the contiguous split, morsel mode re-aims
-       them at each pulled work unit. *)
+       row range its mutable cell holds when it executes: the scheduler
+       re-aims it at each pulled work unit. *)
     let wplans =
       List.init workers (fun _ ->
           let range = ref (0, 0) in
           let override name =
-            if String.equal name source_name then
+            if String.equal name source then
               Some
                 {
                   Nplan.ext_store = store;
@@ -299,7 +297,7 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
                 }
             else None
           in
-          (Nplan.compile ~override cat pipeline, range))
+          (Nplan.compile_lowered ~override cat fragment, range))
     in
     let codegen_ms = Lq_metrics.Profile.now_ms () -. start in
     (* The range cells and the shared morsel counter are per-execution
@@ -319,28 +317,20 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
             | Value.Str s -> ignore (Lq_storage.Dict.intern (Catalog.dict cat) s : int)
             | _ -> ())
           params;
-        let range_of, nmorsels =
-          match mode with
-          | Static ->
-            ((fun m -> (m * nrows / workers, (m + 1) * nrows / workers)), workers)
-          | Morsel ->
-            (* Clamped so even a small table fans out across the workers. *)
-            let unit_rows =
-              max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers))
-            in
-            let n = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in
-            ((fun m -> (m * unit_rows, min nrows ((m + 1) * unit_rows))), n)
-        in
+        (* Clamped so even a small table fans out across the workers. *)
+        let unit_rows = max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers)) in
+        let nmorsels = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in
         let next = Atomic.make 0 in
         let abort : exn option Atomic.t = Atomic.make None in
-        let results = Array.make (max 1 nmorsels) [] in
+        let results = Array.make nmorsels [] in
         (* One work unit: a typed-fault / cancellation checkpoint, its
            own trace span, one compiled-plan pass over the range. *)
         let run_morsel (plan, range) m =
-          let lo, hi = range_of m in
+          let lo = m * unit_rows in
+          let hi = min nrows (lo + unit_rows) in
           match
             Lq_trace.Trace.with_span
-              ~attrs:[ ("rows", string_of_int (max 0 (hi - lo))) ]
+              ~attrs:[ ("rows", string_of_int (hi - lo)) ]
               Lq_trace.Trace.Morsel
               (Printf.sprintf "morsel-%d" m)
               (fun () ->
@@ -361,21 +351,16 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
             (Printf.sprintf "partition-%d" wid)
             (fun () ->
               let processed = ref 0 in
-              (match mode with
-              | Static ->
-                if wid < nmorsels && nrows > 0 && run_morsel wp wid then
-                  incr processed
-              | Morsel ->
-                let continue = ref true in
-                while !continue do
-                  if Atomic.get abort <> None then continue := false
-                  else begin
-                    let m = Atomic.fetch_and_add next 1 in
-                    if m >= nmorsels then continue := false
-                    else if run_morsel wp m then incr processed
-                    else continue := false
-                  end
-                done);
+              let continue = ref true in
+              while !continue do
+                if Atomic.get abort <> None then continue := false
+                else begin
+                  let m = Atomic.fetch_and_add next 1 in
+                  if m >= nmorsels then continue := false
+                  else if run_morsel wp m then incr processed
+                  else continue := false
+                end
+              done;
               Lq_trace.Trace.span_attr "morsels" (string_of_int !processed))
         in
         (match wplans with
@@ -413,65 +398,13 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
         Lq_metrics.Counters.incr counters "parallel/executions";
         (* Morsel-ordered reassembly: identical to the sequential row
            order however the units were scheduled. *)
-        let results = Array.to_list results in
-        let merged =
-          match merge_kind with
-          | `Concat -> List.concat results
-          | `Merge_groups (partials, merged_body, gvar, rebuild_key) ->
-            (* Combine partial accumulators per key, first-occurrence
-               order across the ordered chunks. *)
-            let table = Vtbl.create 256 in
-            let order = ref [] in
-            List.iter
-              (List.iter (fun row ->
-                   let k = rebuild_key row in
-                   let accs =
-                     List.mapi (fun i _ -> Value.field row (partial_name i)) partials
-                   in
-                   match Vtbl.find_opt table k with
-                   | None ->
-                     Vtbl.add table k (ref accs);
-                     order := k :: !order
-                   | Some cell ->
-                     cell := List.map2 (fun p (a, b) -> combine p a b) partials
-                         (List.combine !cell accs)))
-              results;
-            List.rev_map
-              (fun k ->
-                let accs = !(Vtbl.find table k) in
-                let acc_record =
-                  Value.Record
-                    (Array.of_list
-                       (List.mapi (fun i v -> (partial_name i, v)) accs))
-                in
-                let env =
-                  [
-                    ("__acc", acc_record);
-                    (gvar, Eval.group_value ~key:k ~items:[]);
-                  ]
-                in
-                Eval.expr (Eval.ctx ~params ()) ~env merged_body)
-              !order
-        in
-        (* Sequential remainder over the merged rows. *)
-        match remainder with
-        | Ast.Source name when String.equal name merged_source -> merged
-        | _ ->
-          let ctx =
-            Eval.ctx
-              ~catalog:(fun name ->
-                if String.equal name merged_source then merged
-                else Catalog.rows (Catalog.table cat name))
-              ~params ()
-          in
-          Eval.run ctx remainder
+        finish ~params (merge ~params (Array.to_list results))
       in
       match profile with
       | None -> run ()
       | Some p ->
         Lq_metrics.Profile.time p
-          (Printf.sprintf "Parallel scan+aggregate (%d domains, %s)" workers
-             (match mode with Static -> "static split" | Morsel -> "morsels"))
+          (Printf.sprintf "Parallel scan+aggregate (%d domains, morsels)" workers)
           run
     in
     { Engine_intf.execute; codegen_ms; source = None }
@@ -482,25 +415,9 @@ let make ?name ?(mode = Morsel) ~domains () : Engine_intf.t =
       | Some n -> n
       | None -> Printf.sprintf "compiled-c-parallel[%d]" domains);
     describe =
-      (match mode with
-      | Morsel ->
-        "extension: morsel-driven domain-parallel native scans with \
-         partial-aggregate merge"
-      | Static ->
-        "extension: statically partitioned domain-parallel native scans with \
-         partial-aggregate merge");
-    (* Partitioned scans only parallelize single-source pipelines whose
-       aggregates merge; strings crossing Domains would need interning. *)
-    caps =
-      {
-        Engine_intf.caps_any with
-        needs_flat_sources = true;
-        supports_correlated = false;
-        supports_subqueries = false;
-        supports_group_no_selector = false;
-        supports_interning = false;
-        max_sources = Some 1;
-      };
+      "extension: morsel-driven domain-parallel native scans with \
+       partial-aggregate merge";
+    caps;
     prepare;
   }
 

@@ -79,8 +79,8 @@ let analyze_aggs ~(options : Options.t) gparam (body : Ast.expr) =
   let residue = strip body in
   (List.rev !specs, List.rev !slots, residue)
 
-let analyze_group ~(options : Options.t) (g : Ast.group_by) =
-  match g.Ast.group_result with
+let analyze_group ~(options : Options.t) (group_result : Ast.lambda option) =
+  match group_result with
   | None ->
     (* The group values themselves are the result: items are the payload. *)
     ([], [], true, true)
@@ -103,6 +103,20 @@ let analyze_group ~(options : Options.t) (g : Ast.group_by) =
       (* Unfused (or odd arity): engines re-walk the materialized items per
          aggregate, LINQ-to-objects style. *)
       ([], [], false, true))
+
+(* The [Aggregate] node over an already-lowered [input], with the
+   accumulator registry and item retention analysed from [group_result].
+   [lower] builds every grouping through it; the parallel engine reuses it
+   to re-analyse a partial-aggregate selector over the same input. *)
+let aggregate ?(options = Options.default) (input : P.t) ~key ~group_result : P.t
+    =
+  let aggs, occ_slots, fused, keep_items = analyze_group ~options group_result in
+  {
+    P.op =
+      P.Aggregate
+        { P.input; key; group_result; aggs; occ_slots; fused; keep_items };
+    rows = Float.max 1.0 (Float.sqrt input.P.rows);
+  }
 
 (* --- implicit projections ------------------------------------------ *)
 
@@ -294,22 +308,8 @@ let lower ?(options = Options.default) cat (q : Ast.query) : P.t =
         rows = Float.max left.P.rows right.P.rows;
       }
     | Ast.Group_by g ->
-      let input = go g.Ast.group_source in
-      let aggs, occ_slots, fused, keep_items = analyze_group ~options g in
-      {
-        P.op =
-          P.Aggregate
-            {
-              P.input;
-              key = g.Ast.key;
-              group_result = g.Ast.group_result;
-              aggs;
-              occ_slots;
-              fused;
-              keep_items;
-            };
-        rows = Float.max 1.0 (Float.sqrt input.P.rows);
-      }
+      aggregate ~options (go g.Ast.group_source) ~key:g.Ast.key
+        ~group_result:g.Ast.group_result
     | Ast.Take (Ast.Order_by (src, keys), n) when options.Options.fuse_topk ->
       let input = go src in
       let rows =

@@ -95,6 +95,25 @@ let children (p : t) =
   | Aggregate a -> [ a.input ]
   | Join j -> [ j.left; j.right ]
 
+(* Rebuilds [p] over its children mapped through [f], left before right. *)
+let map_children f (p : t) =
+  let op =
+    match p.op with
+    | Scan _ -> p.op
+    | Filter (i, preds) -> Filter (f i, preds)
+    | Project (i, sel) -> Project (f i, sel)
+    | Join j ->
+      let left = f j.left in
+      Join { j with left; right = f j.right }
+    | Aggregate a -> Aggregate { a with input = f a.input }
+    | Sort (i, keys) -> Sort (f i, keys)
+    | Top_k t -> Top_k { t with input = f t.input }
+    | Limit (i, n) -> Limit (f i, n)
+    | Offset (i, n) -> Offset (f i, n)
+    | Distinct i -> Distinct (f i)
+  in
+  { p with op }
+
 (* --- round-trip to the AST (the trivial backend) ------------------- *)
 
 let rec to_ast (p : t) : Ast.query =

@@ -22,48 +22,10 @@ let strip_plan (p : Plan.t) : Ast.query * staged_spec list =
     | Plan.Scan s when s.Plan.known -> { p with Plan.op = stage s [] }
     | Plan.Filter ({ Plan.op = Plan.Scan s; _ }, preds) when s.Plan.known ->
       { p with Plan.op = stage s (List.map (fun pr -> pr.Plan.lambda) preds) }
-    | Plan.Scan _ -> p
-    | Plan.Filter (i, preds) -> { p with Plan.op = Plan.Filter (go i, preds) }
-    | Plan.Project (i, sel) -> { p with Plan.op = Plan.Project (go i, sel) }
-    | Plan.Join j ->
-      let left = go j.Plan.left in
-      let right = go j.Plan.right in
-      { p with Plan.op = Plan.Join { j with Plan.left = left; right } }
-    | Plan.Aggregate a ->
-      { p with Plan.op = Plan.Aggregate { a with Plan.input = go a.Plan.input } }
-    | Plan.Sort (i, keys) -> { p with Plan.op = Plan.Sort (go i, keys) }
-    | Plan.Top_k { input; keys; limit } ->
-      { p with Plan.op = Plan.Top_k { input = go input; keys; limit } }
-    | Plan.Limit (i, n) -> { p with Plan.op = Plan.Limit (go i, n) }
-    | Plan.Offset (i, n) -> { p with Plan.op = Plan.Offset (go i, n) }
-    | Plan.Distinct i -> { p with Plan.op = Plan.Distinct (go i) }
+    | _ -> Plan.map_children go p
   in
   let stripped = go p in
   (Plan.to_ast stripped, List.rev !specs)
-
-let strip_filters (q : Ast.query) =
-  let specs = ref [] in
-  let counter = ref 0 in
-  (* Peels Where chains down to a source; returns the replacement. Only
-     query structure is walked — predicates (and any sub-queries inside
-     them) move wholesale to the managed side or stay in lambdas. *)
-  let rec peel preds (q : Ast.query) : Ast.query option =
-    match q with
-    | Ast.Source name ->
-      incr counter;
-      let occ = Printf.sprintf "%s#%d" name !counter in
-      specs := { occ; source = name; preds } :: !specs;
-      Some (Ast.Source occ)
-    | Ast.Where (src, pred) -> peel (preds @ [ pred ]) src
-    | _ -> None
-  in
-  let rec go (q : Ast.query) : Ast.query =
-    match peel [] q with
-    | Some replaced -> replaced
-    | None -> Ast.map_query_children go q
-  in
-  let q' = go q in
-  (q', List.rev !specs)
 
 (* Producer-tracking walk shared by the path analyses: [on_elem_lambda]
    fires for every lambda parameter that binds elements of [occ]. Returns

@@ -1,12 +1,12 @@
 (* Unit tests for the caching layer: the weighted LRU substrate, the
-   bounded compiled-query cache (eviction order, cost-aware admission,
-   exact counters), the doubly-bounded result cache with table
-   invalidation, the counters registry, and the monotonic clock. *)
+   bounded compiled-query cache (eviction order, exact counters), the
+   doubly-bounded result cache with table invalidation, the counters
+   registry, and the monotonic clock. *)
 
 open Lq_value
 open Lq_expr.Dsl
 module Counters = Lq_metrics.Counters
-module Lru = Lq_core.Lru
+module Lru = Lq_lru.Lru
 module Query_cache = Lq_core.Query_cache
 module Result_cache = Lq_core.Result_cache
 module Provider = Lq_core.Provider
@@ -136,29 +136,6 @@ let test_query_cache_per_engine_counters () =
   Query_cache.clear qc;
   check_int "clear resets counters" 0 (Counters.count c "hits/interp");
   check_int "clear drops plans" 0 (Query_cache.stats qc).Query_cache.entries
-
-let test_query_cache_cost_aware_admission () =
-  let qc = Query_cache.create ~max_entries:1 ~admission:(Query_cache.Cost_aware 4.0) () in
-  let calls = ref 0 in
-  let touch shape cost =
-    ignore
-      (Query_cache.find_or_compile qc ~engine:"e" ~shape
-         ~compile:(compile_counting calls ~cost shape) ())
-  in
-  touch "expensive" 100.0;
-  (* a much cheaper plan must not displace the expensive one... *)
-  touch "cheap" 1.0;
-  let stats = Query_cache.stats qc in
-  check_int "cheap rejected" 1 stats.Query_cache.rejected;
-  check_int "no eviction" 0 stats.Query_cache.evictions;
-  touch "expensive" 100.0;
-  check_int "expensive still cached" 1 (Query_cache.stats qc).Query_cache.hits;
-  (* ...but a comparably expensive plan displaces it normally *)
-  touch "peer" 50.0;
-  let stats = Query_cache.stats qc in
-  check_int "peer admitted" 1 stats.Query_cache.evictions;
-  touch "peer" 50.0;
-  check_int "peer cached" 2 (Query_cache.stats qc).Query_cache.hits
 
 (* --- the result cache --- *)
 
@@ -319,8 +296,6 @@ let () =
             test_query_cache_eviction_and_stats;
           Alcotest.test_case "per-engine counters" `Quick
             test_query_cache_per_engine_counters;
-          Alcotest.test_case "cost-aware admission" `Quick
-            test_query_cache_cost_aware_admission;
         ] );
       ( "result cache",
         [

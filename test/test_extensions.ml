@@ -178,8 +178,10 @@ let test_parallel_unsupported () =
 
 (* Morsel-scheduler determinism: results are reassembled in morsel order,
    so with a fixed morsel size the rows — float partial sums included —
-   are bit-identical whatever the Domain count, and identical to the
-   static contiguous split. Which Domain ran which morsel must not show. *)
+   are bit-identical whatever the Domain count, and agree with the
+   reference. Which Domain ran which morsel must not show. The two
+   [g.Items] shapes cannot merge partial aggregates: they partition at the
+   grouping's input and group sequentially. *)
 let test_morsel_determinism () =
   Unix.putenv "LQ_MORSEL_SIZE" "7";
   Fun.protect ~finally:(fun () -> Unix.putenv "LQ_MORSEL_SIZE" "") @@ fun () ->
@@ -203,25 +205,45 @@ let test_morsel_determinism () =
                  ("avg_price", avg (v "g") "x" (v "x" $. "price"));
                ] )
   in
+  let group_items =
+    source "sales"
+    |> group_by
+         ~key:("s", v "s" $. "city")
+         ~result:("g", record [ ("k", v "g" $. "Key"); ("items", v "g" $. "Items") ])
+  in
+  let count_items =
+    source "sales"
+    |> group_by
+         ~key:("s", v "s" $. "city")
+         ~result:("g", record [ ("k", v "g" $. "Key"); ("n", count (v "g" $. "Items")) ])
+  in
   List.iter
     (fun (qname, q) ->
-      let run engine = Provider.run prov ~engine q in
-      let base = run (Lq_parallel.Parallel_engine.engine_with ~domains:1) in
+      let run domains =
+        Provider.run prov ~engine:(Lq_parallel.Parallel_engine.engine_with ~domains) q
+      in
+      let expected = Provider.reference prov q in
+      let base = run 1 in
+      check_bool (Printf.sprintf "%s: 1 domain agrees with reference" qname) true
+        (Lq_testkit.rows_close expected base);
       List.iter
         (fun d ->
+          let got = run d in
           check_bool
             (Printf.sprintf "%s: %d domains bit-identical to 1" qname d)
             true
-            (Lq_testkit.rows_equal base
-               (run (Lq_parallel.Parallel_engine.engine_with ~domains:d))))
-        [ 2; 4 ];
-      check_bool
-        (Printf.sprintf "%s: static split agrees (tolerant)" qname)
-        true
-        (Lq_testkit.rows_close base
-           (run (Lq_parallel.Parallel_engine.make ~mode:Lq_parallel.Parallel_engine.Static
-                   ~domains:4 ()))))
-    [ ("pipeline", pipeline); ("aggregate", aggregate) ];
+            (Lq_testkit.rows_equal base got);
+          check_bool
+            (Printf.sprintf "%s: %d domains agree with reference" qname d)
+            true
+            (Lq_testkit.rows_close expected got))
+        [ 2; 4 ])
+    [
+      ("pipeline", pipeline);
+      ("aggregate", aggregate);
+      ("group items", group_items);
+      ("count items", count_items);
+    ];
   (* the scheduler actually ran morsels, and counted them *)
   check_bool "morsel counter moved" true
     (Lq_metrics.Counters.count Lq_parallel.Parallel_engine.counters "parallel/morsels"
