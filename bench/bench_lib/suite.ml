@@ -82,17 +82,18 @@ let time_engine ?(runs = 3) prov ~engine ?(params = []) q =
     let samples = List.init (max 1 runs) (fun _ -> run ()) in
     Some (median (List.map fst samples), snd (List.hd samples))
 
-(* One warmup, then one profiled execution; the per-phase breakdown. *)
+(* One warmup, then one traced run; the per-phase breakdown summed from
+   its spans. *)
 let profile_engine prov ~engine ?(params = []) q =
-  match Provider.prepare_only prov ~engine q with
+  let run () = ignore (Provider.run prov ~engine ~params q) in
+  match run () with
   | exception Engine_intf.Unsupported _ -> None
-  | prepared, _ ->
-    let consts = Lq_expr.Shape.consts (Provider.optimized prov q) in
-    let params = params @ Lq_expr.Shape.const_params consts in
-    ignore (prepared.Engine_intf.execute ~params ());
-    let profile = Profile.create () in
-    ignore (prepared.Engine_intf.execute ~profile ~params ());
-    Some (Profile.phases profile)
+  | () ->
+    let tr = Lq_trace.Trace.start ~label:engine.Engine_intf.name () in
+    Fun.protect
+      ~finally:(fun () -> Lq_trace.Trace.finish tr)
+      (fun () -> Lq_trace.Trace.with_trace tr run);
+    Some (Lq_trace.Trace.phases tr)
 
 (* The lowered plan's shape key — what the compiled-plan cache keys on.
    The determinism test pins this byte-for-byte across fresh catalogs:

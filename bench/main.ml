@@ -185,7 +185,7 @@ let breakdown ~title ~engine ~workload ~expected_phases =
   in
   print_series ~xlabel:"selectivity" ~xs ~series;
   note
-    "(managed phases are timed per element in profiled runs; totals are inflated, the split is the signal)"
+    "(managed phases sampled every 256th element; total measured, split estimated)"
 
 let fig8 () =
   breakdown

@@ -9,7 +9,8 @@
                           (--trace adds a traced run's span tree)
      profile [-e] [-q]    run under the cache simulator
      trace   [QUERY]      run one query through the service with tracing on
-                          and print the span tree (+ Chrome JSON via --out)
+                          and print the span tree and the phase breakdown
+                          (+ Chrome JSON via --out)
      serve   [...]        run a load-generated workload against the
                           multi-Domain query service (--trace-sample /
                           --trace-out export the slowest sampled traces) *)
@@ -147,7 +148,7 @@ let plan_cmd =
 
 (* One traced provider run: installs a fresh span tree, executes, and
    returns the finished trace (also noted in the slow-query ring). *)
-let traced_run provider ~engine ~label ?profile query =
+let traced_run provider ~engine ~label query =
   let tr = Lq_trace.Trace.start ~label () in
   let result =
     Fun.protect
@@ -156,8 +157,8 @@ let traced_run provider ~engine ~label ?profile query =
         Lq_trace.Trace.Ring.note Lq_trace.Trace.slow_log tr)
       (fun () ->
         Lq_trace.Trace.with_trace tr (fun () ->
-            Lq_core.Provider.run provider ~engine ?profile
-              ~params:Lq_tpch.Queries.extended_params query))
+            Lq_core.Provider.run provider ~engine ~params:Lq_tpch.Queries.extended_params
+              query))
   in
   (tr, result)
 
@@ -210,7 +211,8 @@ let profile_cmd =
 let trace_cmd =
   let doc =
     "Run one query through the query service with tracing forced on, print the \
-     span tree and the phase profile of the completing attempt."
+     span tree and the per-phase breakdown (Figs. 8/10/12) of the execution \
+     that completed it, summed from its spans."
   in
   let query_pos =
     Arg.(
@@ -230,12 +232,11 @@ let trace_cmd =
     let _, provider = load sf in
     let engine = resolve_engine engine_name in
     let query = resolve_query query_name in
-    let profile = Lq_metrics.Profile.create () in
     let config = { Lq_service.Service.default_config with domains = 1 } in
     let svc = Lq_service.Service.create ~config provider in
     let result =
       Lq_service.Service.run_sync svc ~label:query_name ~engine
-        ~params:Lq_tpch.Queries.extended_params ~trace:true ~profile query
+        ~params:Lq_tpch.Queries.extended_params ~trace:true query
     in
     Lq_service.Service.shutdown svc;
     match result with
@@ -248,27 +249,10 @@ let trace_cmd =
       | None -> print_endline "(no trace recorded)"
       | Some tr ->
         Printf.printf "\n%s" (Lq_trace.Tree.to_string tr);
-        if Lq_metrics.Profile.phases profile <> [] then begin
-          Printf.printf "\n== phase profile (completing attempt) ==\n%s\n"
-            (Lq_metrics.Profile.to_string profile);
-          (* Hybrid reconciliation: the trace's staging / native-op /
-             return-result spans and the profile derive from the same
-             clock samples, so their sums should agree. *)
-          let span_sum =
-            List.fold_left
-              (fun acc (sp : Lq_trace.Trace.span) ->
-                match sp.Lq_trace.Trace.kind with
-                | Lq_trace.Trace.Staging | Lq_trace.Trace.Native_op
-                | Lq_trace.Trace.Return_result ->
-                  acc +. Float.max 0.0 sp.Lq_trace.Trace.dur_ms
-                | _ -> acc)
-              0.0 (Lq_trace.Trace.spans tr)
-          in
-          if span_sum > 0.0 then
-            Printf.printf "staging+native+return spans %.3f ms vs profile total %.3f ms\n"
-              span_sum
-              (Lq_metrics.Profile.total_ms profile)
-        end;
+        Printf.printf "\n== phases (completing execution) ==\n";
+        List.iter
+          (fun (name, ms) -> Printf.printf "%-30s %10.3f ms\n" name ms)
+          (Lq_trace.Trace.phases tr);
         (match out with
         | None -> ()
         | Some path ->

@@ -176,8 +176,39 @@ for e in $ENGINES; do
     exit 1
   fi
 done
-set +f
 echo "   ok: $NENGINES engines traced, every export well-formed"
+
+# Phase smoke: the hybrid engine's Fig. 8 breakdown, summed from the
+# trace, must list all five phases, and the native operator must be
+# charged a non-zero time (rows flushed into it are native work, not
+# staging).
+for e in 'hybrid-csharp-c[max]' 'hybrid-csharp-c[max,buffer]'; do
+  if ! out=$("$LQCG" trace Q1 -e "$e" --sf 0.002 2>&1); then
+    echo "traced Q1 failed for $e:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+  phases=$(printf '%s\n' "$out" | sed -n '/^== phases (completing execution) ==$/,$p')
+  for phase in "Iterate data (C#)" "Apply predicates (C#)" "Data staging (C#)" \
+      "Aggregation (C)" "Return result (C/C#)"; do
+    case "$phases" in
+      *"$phase "*) ;;
+      *)
+        echo "phase row \"$phase\" missing from the $e breakdown:" >&2
+        echo "$out" >&2
+        exit 1
+        ;;
+    esac
+  done
+  native=$(printf '%s\n' "$phases" | grep '^Aggregation (C) ' | awk '{print $(NF-1)}')
+  if ! awk -v ms="$native" 'BEGIN { exit !(ms + 0 > 0) }'; then
+    echo "native phase not charged on $e (Aggregation (C) = $native ms):" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+set +f
+echo "   ok: hybrid Q1 breakdown lists all five phases, native phase charged"
 
 # Codegen smoke: every extended-TPC-H emission must be real C — pushed
 # through `cc -fsyntax-only` (loud skip without a compiler; the stage

@@ -6,7 +6,8 @@
    - querying nested object graphs (only interpretive and hybrid engines
      can; the pure-C backend refuses non-flat data, §5);
    - the implicit projection: the hybrid engine stages only the members
-     the query touches (§6.1.1) — printed via the staged-bytes metric;
+     the query touches (§6.1.1) — its staged bytes are read from the
+     trace of the run;
    - the Min variant returning references to the original objects (§6.1.1:
      "use the original objects to construct the result");
    - compiled-plan reuse across parameter values.
@@ -16,6 +17,23 @@
 open Lq_value
 open Lq_expr.Dsl
 module H = Lq_hybrid.Hybrid_engine
+module Trace = Lq_trace.Trace
+
+(* Runs [f] under a trace and reads back the staging memory it used: the
+   hybrid engine records it as the [bytes] attribute of each staged
+   input's "Data staging (C#)" span. *)
+let with_staged_bytes f =
+  let tr = Trace.start () in
+  let result = Fun.protect ~finally:(fun () -> Trace.finish tr) (fun () -> Trace.with_trace tr f) in
+  let bytes =
+    List.fold_left
+      (fun acc (s : Trace.span) ->
+        match List.assoc_opt "bytes" s.Trace.attrs with
+        | Some b when s.Trace.kind = Trace.Staging -> acc + int_of_string b
+        | _ -> acc)
+      0 (Trace.spans tr)
+  in
+  (result, bytes)
 
 let sale_schema =
   Schema.make
@@ -83,13 +101,14 @@ let () =
     (fun city ->
       let params = [ ("city", Value.Str city) ] in
       let t0 = Unix.gettimeofday () in
-      let rows =
-        Lq_core.Provider.run provider ~engine:Lq_core.Engines.hybrid ~params
-          revenue_by_category
+      let rows, staged =
+        with_staged_bytes (fun () ->
+            Lq_core.Provider.run provider ~engine:Lq_core.Engines.hybrid ~params
+              revenue_by_category)
       in
       let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
       Printf.printf "\n%s (%.1f ms, staged %d bytes after implicit projection):\n" city ms
-        (H.staged_bytes ());
+        staged;
       List.iter (fun r -> Printf.printf "  %s\n" (Value.to_string r)) rows)
     [ "London"; "Paris" ];
   let stats = Lq_core.Provider.cache_stats provider in
@@ -119,12 +138,13 @@ let () =
   in
   print_endline "\n=== five-star bargains (Min variant: indexes + lookup) ===";
   let engine_min = H.make ~construction:H.Min () in
-  let rows =
-    Lq_core.Provider.run provider ~engine:engine_min
-      ~params:[ ("limit", Value.Float 10.0) ]
-      bargains
+  let rows, staged =
+    with_staged_bytes (fun () ->
+        Lq_core.Provider.run provider ~engine:engine_min
+          ~params:[ ("limit", Value.Float 10.0) ]
+          bargains)
   in
-  Printf.printf "staged only %d bytes (sort key + index)\n" (H.staged_bytes ());
+  Printf.printf "staged only %d bytes (sort key + index)\n" staged;
   List.iter (fun r -> Printf.printf "  %s\n" (Value.to_string r)) rows;
   (* Min returns the original boxed objects — physical identity holds. *)
   let originals = Lq_catalog.Catalog.boxed (Lq_catalog.Catalog.table catalog "sales") in

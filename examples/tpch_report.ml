@@ -42,16 +42,25 @@ let () =
         Printf.printf "unsupported: %s\n" msg
       | prepared, _ ->
         Printf.printf "code generation: %.2f ms\n" prepared.Engine_intf.codegen_ms;
-        let consts = Lq_expr.Shape.consts (Lq_core.Provider.optimized provider q) in
-        let params = params @ Lq_expr.Shape.const_params consts in
-        let profile = Lq_metrics.Profile.create () in
+        (* One traced run (the plan cache serves the plan just
+           prepared): the phase breakdown is summed from its spans. *)
+        let tr = Lq_trace.Trace.start ~label:qname () in
         let t0 = Unix.gettimeofday () in
-        let rows = prepared.Engine_intf.execute ~profile ~params () in
+        let rows =
+          Fun.protect
+            ~finally:(fun () -> Lq_trace.Trace.finish tr)
+            (fun () ->
+              Lq_trace.Trace.with_trace tr (fun () ->
+                  Lq_core.Provider.run provider ~engine ~params q))
+        in
         let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         Printf.printf "executed in %.1f ms, %d result rows; first rows:\n" ms
           (List.length rows);
         List.iteri
           (fun i r -> if i < 4 then Printf.printf "  %s\n" (Value.to_string r))
           rows;
-        Printf.printf "phase breakdown:\n%s\n" (Lq_metrics.Profile.to_string profile))
+        Printf.printf "phase breakdown:\n";
+        List.iter
+          (fun (name, ms) -> Printf.printf "%-30s %10.3f ms\n" name ms)
+          (Lq_trace.Trace.phases tr))
     Lq_tpch.Queries.all

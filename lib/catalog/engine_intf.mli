@@ -14,13 +14,12 @@ exception Unsupported of string
     Hekaton rejecting TPC-H Q2's nested sub-query (§7.5). *)
 
 type prepared = {
-  execute :
-    ?profile:Lq_metrics.Profile.t ->
-    params:(string * Value.t) list ->
-    unit ->
-    Value.t list;
-      (** Runs the compiled plan. [profile] collects the per-phase cost
-          breakdown (Figs. 8/10/12). *)
+  execute : params:(string * Value.t) list -> unit -> Value.t list;
+      (** Runs the compiled plan. Timing is not the engine's business
+          beyond trace spans: the provider wraps each call in an
+          [Lq_trace.Trace.Execute] span, and an engine that splits its
+          work into the paper's phases (Figs. 8/10/12) records them as
+          child spans. *)
   codegen_ms : float;  (** plan generation ("code generation") time *)
   source : string option;
       (** the generated C#-like / C-like source listing, when the backend

@@ -124,14 +124,14 @@ let prepare_only t ~engine q =
   let prepared, outcome, _, _ = prepare_internal t ~engine q in
   (prepared, outcome)
 
-let run t ~engine ?(params = []) ?profile ?checkpoint q =
+let run t ~engine ?(params = []) ?checkpoint q =
   let prepared, _, shape, consts = prepare_internal t ~engine ?checkpoint q in
   let all_params = params @ Shape.const_params consts in
   let execute () =
     Trace.with_span Trace.Execute engine.Engine_intf.name (fun () ->
         Lq_fault.Inject.hit "provider/execute";
         let rows =
-          try prepared.Engine_intf.execute ?profile ~params:all_params () with
+          try prepared.Engine_intf.execute ~params:all_params () with
           | (Lq_fault.Fault _ | Engine_intf.Unsupported _) as e -> raise e
           | exn ->
             raise

@@ -64,7 +64,6 @@ val run :
   t ->
   engine:Lq_catalog.Engine_intf.t ->
   ?params:(string * Value.t) list ->
-  ?profile:Lq_metrics.Profile.t ->
   ?checkpoint:(string -> unit) ->
   Lq_expr.Ast.query ->
   Value.t list

@@ -16,8 +16,10 @@ type construction = Min | Max
 
 let index_field = "__idx"
 let page_bytes = 64 * 1024
-let last_staged_bytes = ref 0
-let staged_bytes () = !last_staged_bytes
+
+(* Under a trace, one staged element in [sample_stride] is timed phase by
+   phase (a power of two: the test is a mask). *)
+let sample_stride = 256
 
 let rename_path path = String.concat "_" path
 
@@ -32,13 +34,6 @@ type staged = {
   writers : (int -> Value.t -> unit) list;  (** staged-field writers *)
   write_index : (int -> int -> unit) option;
   driver_cell : ((int -> unit) -> unit) ref;  (** set per execution *)
-}
-
-(* Per-execution managed phase accumulators (Figs. 8/10/12). *)
-type phases = {
-  mutable iterate_ms : float;
-  mutable predicates_ms : float;
-  mutable staging_ms : float;
 }
 
 let resolve_path_ty source_ty path =
@@ -407,16 +402,14 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
     in
     let codegen_ms = Profile.now_ms () -. start_ms in
     (* --- Execution --- *)
-    let execute ?profile ~params () =
+    let execute ~params () =
       let rt = Cexpr.make_rt cctx ~params in
       incr eval_epoch;
       eval_ctx_cell := Some (Catalog.eval_ctx cat ~params);
-      let ph = { iterate_ms = 0.0; predicates_ms = 0.0; staging_ms = 0.0 } in
-      (* Wall-clock spent inside staging drivers this execution; the
-         native-op span is the offloaded run minus this, so the trace's
-         staging/native split derives from one set of clock samples
-         (Figs. 8/10/12). *)
-      let staged_ms = ref 0.0 in
+      (* Managed time of this execution under a trace: every driver's wall
+         time minus its flushes into the native operator. The native-op
+         span is the offloaded run minus this. *)
+      let managed_ms = ref 0.0 in
       (* Install staging drivers for this execution. *)
       List.iter
         (fun st ->
@@ -455,98 +448,73 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
           let drive emit =
             Lq_fault.Inject.hit "hybrid/staging";
             Rowstore.clear st.store;
-            let n = Array.length rows in
-            if profile = None then begin
-              if buffered then begin
-                for i = 0 to n - 1 do
-                  let v = rows.(i) in
-                  if passes rt v then begin
-                    if Rowstore.length st.store >= st.page_rows then begin
-                      for r = 0 to Rowstore.length st.store - 1 do
-                        emit r
-                      done;
-                      Rowstore.clear st.store
-                    end;
-                    stage_row i v
-                  end
-                done;
-                for r = 0 to Rowstore.length st.store - 1 do
-                  emit r
-                done
-              end
-              else begin
-                for i = 0 to n - 1 do
-                  let v = rows.(i) in
-                  if passes rt v then stage_row i v
-                done;
-                for r = 0 to Rowstore.length st.store - 1 do
-                  emit r
-                done
-              end
-            end
-            else begin
-              (* Profiled variant: fine-grained managed phase timers. *)
-              let flush () =
-                for r = 0 to Rowstore.length st.store - 1 do
-                  emit r
-                done;
+            let traced = Trace.tracing () in
+            (* Handing staged rows to the native operator is native work:
+               under a trace each flush is timed and kept out of staging. *)
+            let flush_ms = ref 0.0 in
+            let flush () =
+              let f0 = if traced then Profile.now_ms () else 0.0 in
+              for r = 0 to Rowstore.length st.store - 1 do
+                emit r
+              done;
+              if traced then flush_ms := !flush_ms +. (Profile.now_ms () -. f0)
+            in
+            let copy_in i v =
+              if buffered && Rowstore.length st.store >= st.page_rows then begin
+                flush ();
                 Rowstore.clear st.store
-              in
-              for i = 0 to n - 1 do
+              end;
+              stage_row i v
+            in
+            let iterate_ms = ref 0.0 and predicates_ms = ref 0.0 and copy_ms = ref 0.0 in
+            let t_begin = if traced then Profile.now_ms () else 0.0 in
+            for i = 0 to Array.length rows - 1 do
+              if traced && i land (sample_stride - 1) = 0 then begin
                 let t0 = Profile.now_ms () in
                 let v = rows.(i) in
                 let t1 = Profile.now_ms () in
                 let ok = passes rt v in
                 let t2 = Profile.now_ms () in
-                if ok then begin
-                  if buffered && Rowstore.length st.store >= st.page_rows then
-                    flush ();
-                  stage_row i v
-                end;
+                let flushed = !flush_ms in
+                if ok then copy_in i v;
                 let t3 = Profile.now_ms () in
-                ph.iterate_ms <- ph.iterate_ms +. (t1 -. t0);
-                ph.predicates_ms <- ph.predicates_ms +. (t2 -. t1);
-                ph.staging_ms <- ph.staging_ms +. (t3 -. t2)
-              done;
-              for r = 0 to Rowstore.length st.store - 1 do
-                emit r
-              done;
-              if buffered then Rowstore.clear st.store
-            end
-          in
-          let drive emit =
-            if not (Trace.tracing ()) then drive emit
-            else begin
-              let d0 = Profile.now_ms () in
-              Trace.with_span
-                ~attrs:[ ("source", st.spec.Split.source) ]
-                Trace.Staging
-                ("stage:" ^ st.spec.Split.occ)
-                (fun () -> drive emit);
-              staged_ms := !staged_ms +. (Profile.now_ms () -. d0)
+                iterate_ms := !iterate_ms +. (t1 -. t0);
+                predicates_ms := !predicates_ms +. (t2 -. t1);
+                copy_ms := !copy_ms +. (t3 -. t2 -. (!flush_ms -. flushed))
+              end
+              else begin
+                let v = rows.(i) in
+                if passes rt v then copy_in i v
+              end
+            done;
+            flush ();
+            if traced then begin
+              (* The managed total is measured; its split across the three
+                 phases is estimated from the sampled elements. *)
+              let total = Float.max 0.0 (Profile.now_ms () -. t_begin -. !flush_ms) in
+              managed_ms := !managed_ms +. total;
+              let sampled = !iterate_ms +. !predicates_ms +. !copy_ms in
+              let share x = if sampled > 0.0 then total *. x /. sampled else 0.0 in
+              let iterate = share !iterate_ms and predicates = share !predicates_ms in
+              let copy = if sampled > 0.0 then share !copy_ms else total in
+              let stage = [ ("stage", st.spec.Split.occ) ] in
+              let bytes =
+                (if buffered then st.page_rows else Rowstore.length st.store)
+                * staged_row_width
+              in
+              Trace.add_span ~attrs:stage Trace.Staging "Iterate data (C#)" ~start_ms:t_begin
+                ~dur_ms:iterate;
+              Trace.add_span ~attrs:stage Trace.Staging "Apply predicates (C#)"
+                ~start_ms:(t_begin +. iterate) ~dur_ms:predicates;
+              Trace.add_span
+                ~attrs:(stage @ [ ("bytes", string_of_int bytes) ])
+                Trace.Staging "Data staging (C#)"
+                ~start_ms:(t_begin +. iterate +. predicates)
+                ~dur_ms:copy
             end
           in
           st.driver_cell := drive)
         staged;
-      (* Phase attribution happens per *attempt*: managed-side phases
-         accumulated so far are charged even when the native run or the
-         result construction raises, just like the other engines'
-         [Profile.time] wrappers. A caller running several attempts
-         against one request (the service's retry/fallback ladder) must
-         give each attempt a scratch profile and merge only the
-         completing one, or staging would be double-charged. *)
-      let charged = ref false in
-      let charge_managed p =
-        Profile.add p "Iterate data (C#)" ph.iterate_ms;
-        Profile.add p "Apply predicates (C#)" ph.predicates_ms;
-        Profile.add p "Data staging (C#)" ph.staging_ms
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          match profile with
-          | Some p when not !charged -> charge_managed p
-          | _ -> ())
-      @@ fun () ->
       let t_start = Profile.now_ms () in
       let native_out = Nplan.execute nplan ~params () in
       let t_native = Profile.now_ms () in
@@ -573,44 +541,21 @@ let make ?(buffered = false) ?(construction = Max) () : Engine_intf.t =
               cresult rt)
             native_out
       in
-      let t_end = Profile.now_ms () in
-      last_staged_bytes :=
-        List.fold_left
-          (fun acc st ->
-            acc
-            + (if buffered then st.page_rows else Rowstore.length st.store)
-              * Layout.row_width (Rowstore.layout st.store))
-          0 staged;
       if Trace.tracing () then begin
-        (* The staging spans were recorded live by the drivers; the
-           offloaded-operator and return-result spans are derived from
-           the same clock samples, so span sums reconcile with the
-           profile's phase totals. *)
         Trace.add_span Trace.Native_op (native_phase_label rewritten) ~start_ms:t_start
-          ~dur_ms:(Float.max 0.0 (t_native -. t_start -. !staged_ms));
-        Trace.add_span Trace.Return_result "return-result" ~start_ms:t_native
-          ~dur_ms:(Float.max 0.0 (t_end -. t_native))
+          ~dur_ms:(t_native -. t_start -. !managed_ms);
+        Trace.add_span Trace.Return_result "Return result (C/C#)" ~start_ms:t_native
+          ~dur_ms:(Profile.now_ms () -. t_native)
       end;
-      (match profile with
-      | None -> ()
-      | Some p ->
-        charged := true;
-        charge_managed p;
-        let managed = ph.iterate_ms +. ph.predicates_ms +. ph.staging_ms in
-        Profile.add p (native_phase_label rewritten)
-          (Float.max 0.0 (t_native -. t_start -. managed));
-        Profile.add p "Return result (C/C#)" (t_end -. t_native));
       result
     in
     (* The staging stores, driver cells and eval-ctx cell are shared by
        every execution of this prepared plan; serialize whole executions
        so cached plans can be shared across Domains. *)
     let mu = Mutex.create () in
-    let execute ?profile ~params () =
+    let execute ~params () =
       Mutex.lock mu;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock mu)
-        (fun () -> execute ?profile ~params ())
+      Fun.protect ~finally:(fun () -> Mutex.unlock mu) (fun () -> execute ~params ())
     in
     {
       Engine_intf.execute;

@@ -18,7 +18,18 @@
       objects up again for result construction — only possible when results
       are (projections of) source elements or a plain join of them; refused
       otherwise ("the Min approach is not possible for complex queries",
-      §7.4). *)
+      §7.4).
+
+    Under a trace, each run of a staged input's driver records three
+    [Staging] spans named after the paper's phases — "Iterate data (C#)",
+    "Apply predicates (C#)", "Data staging (C#)" — each with a [stage]
+    attribute naming the source occurrence. Their sum is the driver's
+    measured wall time minus its flushes into the native operator; the
+    split between them is estimated from every 256th element, timed
+    phase by phase. "Data staging (C#)" also carries [bytes]: the staging
+    memory of that input (the §7.1 "390 MB vs one buffer page"
+    comparison). The offloaded remainder is one [Native_op] span, result
+    construction one [Return_result] span, "Return result (C/C#)". *)
 
 type construction =
   | Min
@@ -30,6 +41,3 @@ val engine : Lq_catalog.Engine_intf.t
 
 val engine_buffered : Lq_catalog.Engine_intf.t
 
-val staged_bytes : unit -> int
-(** Staging memory used by the most recent execution on any hybrid engine
-    (the §7.1 "390 MB vs one buffer page" comparison). *)

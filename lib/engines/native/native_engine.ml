@@ -34,8 +34,7 @@ let engine : Engine_intf.t =
         in
         let codegen_ms = Profile.now_ms () -. start in
         {
-          Engine_intf.execute =
-            (fun ?profile ~params () -> Nplan.execute plan ?profile ~params ());
+          Engine_intf.execute = (fun ~params () -> Nplan.execute plan ~params ());
           codegen_ms;
           source = Some source;
         });

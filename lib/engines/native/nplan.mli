@@ -57,11 +57,6 @@ val compile_lowered :
     feed the plan to another backend (the JIT's C emitter) lower once and
     share the result. Same exceptions as {!compile}. *)
 
-val execute :
-  t ->
-  ?profile:Lq_metrics.Profile.t ->
-  params:(string * Value.t) list ->
-  unit ->
-  Value.t list
+val execute : t -> params:(string * Value.t) list -> unit -> Value.t list
 
 val segments : t -> int

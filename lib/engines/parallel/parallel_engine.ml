@@ -304,108 +304,100 @@ let make ?name ~domains () : Engine_intf.t =
        scratch: concurrent executes of one cached prepared plan must not
        interleave on them. *)
     let exec_mu = Mutex.create () in
-    let execute ?profile ~params () =
-      let run () =
-        Mutex.lock exec_mu;
-        Fun.protect ~finally:(fun () -> Mutex.unlock exec_mu) @@ fun () ->
-        (* Pre-intern string parameters on the coordinating domain: the
-           workers' own bindings then only *read* the dictionary, which
-           is safe. *)
-        List.iter
-          (fun (_, v) ->
-            match v with
-            | Value.Str s -> ignore (Lq_storage.Dict.intern (Catalog.dict cat) s : int)
-            | _ -> ())
-          params;
-        (* Clamped so even a small table fans out across the workers. *)
-        let unit_rows = max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers)) in
-        let nmorsels = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in
-        let next = Atomic.make 0 in
-        let abort : exn option Atomic.t = Atomic.make None in
-        let results = Array.make nmorsels [] in
-        (* One work unit: a typed-fault / cancellation checkpoint, its
-           own trace span, one compiled-plan pass over the range. *)
-        let run_morsel (plan, range) m =
-          let lo = m * unit_rows in
-          let hi = min nrows (lo + unit_rows) in
-          match
-            Lq_trace.Trace.with_span
-              ~attrs:[ ("rows", string_of_int (hi - lo)) ]
-              Lq_trace.Trace.Morsel
-              (Printf.sprintf "morsel-%d" m)
-              (fun () ->
-                Lq_fault.Inject.hit "parallel/morsel";
-                range := (lo, hi);
-                Nplan.execute plan ~params ())
-          with
-          | rows ->
-            results.(m) <- rows;
-            Lq_metrics.Counters.incr counters "parallel/morsels";
-            true
-          | exception exn ->
-            ignore (Atomic.compare_and_set abort None (Some exn) : bool);
-            false
-        in
-        let worker wid wp =
-          Lq_trace.Trace.with_span Lq_trace.Trace.Partition
-            (Printf.sprintf "partition-%d" wid)
+    let execute ~params () =
+      Mutex.lock exec_mu;
+      Fun.protect ~finally:(fun () -> Mutex.unlock exec_mu) @@ fun () ->
+      (* Pre-intern string parameters on the coordinating domain: the
+         workers' own bindings then only *read* the dictionary, which
+         is safe. *)
+      List.iter
+        (fun (_, v) ->
+          match v with
+          | Value.Str s -> ignore (Lq_storage.Dict.intern (Catalog.dict cat) s : int)
+          | _ -> ())
+        params;
+      (* Clamped so even a small table fans out across the workers. *)
+      let unit_rows = max 1 (min (morsel_size ()) ((nrows + workers - 1) / workers)) in
+      let nmorsels = if nrows = 0 then 0 else (nrows + unit_rows - 1) / unit_rows in
+      let next = Atomic.make 0 in
+      let abort : exn option Atomic.t = Atomic.make None in
+      let results = Array.make nmorsels [] in
+      (* One work unit: a typed-fault / cancellation checkpoint, its
+         own trace span, one compiled-plan pass over the range. *)
+      let run_morsel (plan, range) m =
+        let lo = m * unit_rows in
+        let hi = min nrows (lo + unit_rows) in
+        match
+          Lq_trace.Trace.with_span
+            ~attrs:[ ("rows", string_of_int (hi - lo)) ]
+            Lq_trace.Trace.Morsel
+            (Printf.sprintf "morsel-%d" m)
             (fun () ->
-              let processed = ref 0 in
-              let continue = ref true in
-              while !continue do
-                if Atomic.get abort <> None then continue := false
-                else begin
-                  let m = Atomic.fetch_and_add next 1 in
-                  if m >= nmorsels then continue := false
-                  else if run_morsel wp m then incr processed
-                  else continue := false
-                end
-              done;
-              Lq_trace.Trace.span_attr "morsels" (string_of_int !processed))
-        in
-        (match wplans with
-        | [ only ] -> worker 0 only
-        | first :: rest ->
-          (* Hand the ambient trace context (if any) to the worker
-             Domains: each re-installs it with its own span buffer, so
-             partition spans land in the submitting request's trace
-             without contending on the coordinator's buffer. *)
-          let tctx = Lq_trace.Trace.current () in
-          let handles =
-            List.mapi
-              (fun i wp ->
-                Domain.spawn (fun () ->
-                    Lq_trace.Trace.with_context tctx (fun () -> worker (i + 1) wp)))
-              rest
-          in
-          worker 0 first;
-          (* Join every worker before surfacing any failure — a crashed
-             morsel must not leak still-running Domains. *)
-          List.iter
-            (fun h ->
-              match Domain.join h with
-              | () -> ()
-              | exception exn ->
-                ignore (Atomic.compare_and_set abort None (Some exn) : bool))
-            handles
-        | [] -> ());
-        (match Atomic.get abort with
-        | Some exn ->
-          raise
-            (Lq_fault.Fault
-               (Lq_fault.classify ~stage:"execute" ~default:Lq_fault.Internal exn))
-        | None -> ());
-        Lq_metrics.Counters.incr counters "parallel/executions";
-        (* Morsel-ordered reassembly: identical to the sequential row
-           order however the units were scheduled. *)
-        finish ~params (merge ~params (Array.to_list results))
+              Lq_fault.Inject.hit "parallel/morsel";
+              range := (lo, hi);
+              Nplan.execute plan ~params ())
+        with
+        | rows ->
+          results.(m) <- rows;
+          Lq_metrics.Counters.incr counters "parallel/morsels";
+          true
+        | exception exn ->
+          ignore (Atomic.compare_and_set abort None (Some exn) : bool);
+          false
       in
-      match profile with
-      | None -> run ()
-      | Some p ->
-        Lq_metrics.Profile.time p
-          (Printf.sprintf "Parallel scan+aggregate (%d domains, morsels)" workers)
-          run
+      let worker wid wp =
+        Lq_trace.Trace.with_span Lq_trace.Trace.Partition
+          (Printf.sprintf "partition-%d" wid)
+          (fun () ->
+            let processed = ref 0 in
+            let continue = ref true in
+            while !continue do
+              if Atomic.get abort <> None then continue := false
+              else begin
+                let m = Atomic.fetch_and_add next 1 in
+                if m >= nmorsels then continue := false
+                else if run_morsel wp m then incr processed
+                else continue := false
+              end
+            done;
+            Lq_trace.Trace.span_attr "morsels" (string_of_int !processed))
+      in
+      (match wplans with
+      | [ only ] -> worker 0 only
+      | first :: rest ->
+        (* Hand the ambient trace context (if any) to the worker
+           Domains: each re-installs it with its own span buffer, so
+           partition spans land in the submitting request's trace
+           without contending on the coordinator's buffer. *)
+        let tctx = Lq_trace.Trace.current () in
+        let handles =
+          List.mapi
+            (fun i wp ->
+              Domain.spawn (fun () ->
+                  Lq_trace.Trace.with_context tctx (fun () -> worker (i + 1) wp)))
+            rest
+        in
+        worker 0 first;
+        (* Join every worker before surfacing any failure — a crashed
+           morsel must not leak still-running Domains. *)
+        List.iter
+          (fun h ->
+            match Domain.join h with
+            | () -> ()
+            | exception exn ->
+              ignore (Atomic.compare_and_set abort None (Some exn) : bool))
+          handles
+      | [] -> ());
+      (match Atomic.get abort with
+      | Some exn ->
+        raise
+          (Lq_fault.Fault
+             (Lq_fault.classify ~stage:"execute" ~default:Lq_fault.Internal exn))
+      | None -> ());
+      Lq_metrics.Counters.incr counters "parallel/executions";
+      (* Morsel-ordered reassembly: identical to the sequential row
+         order however the units were scheduled. *)
+      finish ~params (merge ~params (Array.to_list results))
     in
     { Engine_intf.execute; codegen_ms; source = None }
   in

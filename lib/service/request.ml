@@ -18,7 +18,6 @@ type t = {
   priority : priority;
   enqueued_ms : float;
   trace : Lq_trace.Trace.t option;
-  profile : Lq_metrics.Profile.t option;
 }
 
 type outcome =

@@ -26,9 +26,6 @@ type t = {
   trace : Lq_trace.Trace.t option;
       (** span tree opened at admission for sampled requests; the worker
           installs it as the ambient context for the whole journey *)
-  profile : Lq_metrics.Profile.t option;
-      (** per-request phase profile, charged only from the engine
-          attempt that completes *)
 }
 
 type outcome =

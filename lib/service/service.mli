@@ -92,7 +92,6 @@ val submit :
   ?params:(string * Lq_value.Value.t) list ->
   ?deadline_ms:float ->
   ?trace:bool ->
-  ?profile:Lq_metrics.Profile.t ->
   Lq_expr.Ast.query ->
   (Request.response Future.t, rejection) result
 (** Non-blocking: admission happens inline, execution on a worker.
@@ -105,10 +104,10 @@ val submit :
 
     [trace] forces (or suppresses) a span tree for this request,
     overriding the config sampler; the finished trace comes back on the
-    response. [profile] receives the per-phase breakdown of the engine
-    attempt that completes the request — failed attempts charge only
-    their own scratch profile, so retries and fallback hops never
-    double-charge a phase. *)
+    response. The trace is the request's only timing record: its
+    per-phase breakdown ({!Lq_trace.Trace.phases}) covers just the engine
+    attempt that completed the request, so retries and fallback hops
+    never double-charge a phase. *)
 
 val run_sync :
   t ->
@@ -118,7 +117,6 @@ val run_sync :
   ?params:(string * Lq_value.Value.t) list ->
   ?deadline_ms:float ->
   ?trace:bool ->
-  ?profile:Lq_metrics.Profile.t ->
   Lq_expr.Ast.query ->
   (Request.response, rejection) result
 (** [submit] + [Future.await] — the synchronous client. *)

@@ -252,6 +252,51 @@ let add_span ?(attrs = []) kind name ~start_ms ~dur_ms =
     | Some fr -> ignore (record fr kind name attrs start_ms (Float.max 0.0 dur_ms))
 
 (* ------------------------------------------------------------------ *)
+(* phase breakdown *)
+
+(* Phase spans in figure order (Figs. 8/10/12): managed staging, then the
+   offloaded operator, then result return. *)
+let phase_rank = function
+  | Staging -> Some 0
+  | Native_op -> Some 1
+  | Return_result -> Some 2
+  | _ -> None
+
+let phases t =
+  let all = spans t in
+  (* The completing execution: only an attempt that returned rows sets
+     the [rows] attribute, so failed retries and fallback hops drop out. *)
+  let completing =
+    List.fold_left
+      (fun acc s -> if s.kind = Execute && List.mem_assoc "rows" s.attrs then Some s else acc)
+      None all
+  in
+  match completing with
+  | None -> []
+  | Some ex ->
+    let parent_of = Hashtbl.create 64 in
+    List.iter (fun s -> Hashtbl.replace parent_of s.id s.parent) all;
+    let rec under id =
+      id = ex.id || (match Hashtbl.find_opt parent_of id with Some p -> under p | None -> false)
+    in
+    let totals = Hashtbl.create 8 in
+    let order = ref [] in
+    List.iter
+      (fun s ->
+        match phase_rank s.kind with
+        | Some rank when s.dur_ms >= 0.0 && under s.parent -> (
+          match Hashtbl.find_opt totals s.name with
+          | Some cell -> cell := !cell +. s.dur_ms
+          | None ->
+            Hashtbl.add totals s.name (ref s.dur_ms);
+            order := (rank, s.name) :: !order)
+        | _ -> ())
+      all;
+    match List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !order) with
+    | [] -> [ (ex.name, Float.max 0.0 ex.dur_ms) ]
+    | named -> List.map (fun (_, name) -> (name, !(Hashtbl.find totals name))) named
+
+(* ------------------------------------------------------------------ *)
 (* sampling *)
 
 module Sampler = struct

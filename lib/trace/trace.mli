@@ -55,10 +55,12 @@ type span = {
 type t
 
 val start : ?clock:(unit -> float) -> ?label:string -> unit -> t
-(** Opens a trace with its root {!Request} span. [clock] defaults to
+(** Opens a trace with its root {!Request} span. A trace is the only
+    per-request timing in the stack: phase breakdowns are read back from
+    it with {!phases}. [clock] defaults to the process clock
     {!Lq_metrics.Profile.now_ms}; tests pass a synthetic clock for
-    byte-stable exports. The trace counts against the global live
-    gate until {!finish}. *)
+    byte-stable exports. The trace counts against the global live gate
+    until {!finish}. *)
 
 val finish : t -> unit
 (** Closes the root span and releases the live gate. Idempotent. *)
@@ -74,6 +76,16 @@ val spans : t -> span list
 (** All spans (root included), merged across per-Domain buffers and
     sorted by start time then id. Call after {!finish} — or at least
     after every recording Domain has completed its request. *)
+
+val phases : t -> (string * float) list
+(** The per-phase cost breakdown (Figs. 8/10/12) of the execution that
+    answered the request: the {!Execute} span carrying the [rows]
+    attribute (failed attempts never set it). Its {!Staging},
+    {!Native_op} and {!Return_result} descendants are summed by name, in
+    that order and then by first start. An execution with no such spans
+    yields one phase named after the engine, holding the {!Execute}
+    span's duration; a trace with no completing execution (a result-cache
+    hit, a failure) yields [[]]. Call after {!finish}. *)
 
 (** {1 Recording} *)
 

@@ -81,8 +81,7 @@ let test_lru_drop_where () =
 let fake_prepared ?(cost = 1.0) tag =
   {
     Lq_catalog.Engine_intf.execute =
-      (fun ?profile ~params () ->
-        ignore profile;
+      (fun ~params () ->
         ignore params;
         [ Value.Str tag ]);
     codegen_ms = cost;

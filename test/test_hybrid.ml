@@ -13,6 +13,15 @@ let check_int = Alcotest.(check int)
 let cat = Lq_testkit.sales_catalog ()
 let prov = Lq_core.Provider.create cat
 
+(* One provider run under a fresh trace; the finished trace. *)
+let traced ?(prov = prov) engine q =
+  let tr = Lq_trace.Trace.start () in
+  Fun.protect
+    ~finally:(fun () -> Lq_trace.Trace.finish tr)
+    (fun () ->
+      Lq_trace.Trace.with_trace tr (fun () -> ignore (Lq_core.Provider.run prov ~engine q)));
+  tr
+
 (* --- split analysis --- *)
 
 let strip ?(cat = cat) q = Split.strip_plan (Lq_plan.Lower.lower cat q)
@@ -111,9 +120,16 @@ let test_staging_footprint () =
     |> group_by ~key:("s", v "s" $. "city")
          ~result:("g", record [ ("c", v "g" $. "Key"); ("n", count (v "g")) ])
   in
-  let run engine =
-    ignore (Lq_core.Provider.run prov ~engine q);
-    H.staged_bytes ()
+  (* The staging memory of one run: the [bytes] attributes of its
+     "Data staging (C#)" spans. *)
+  let run ?prov engine =
+    List.fold_left
+      (fun acc (s : Lq_trace.Trace.span) ->
+        match List.assoc_opt "bytes" s.Lq_trace.Trace.attrs with
+        | Some b -> acc + int_of_string b
+        | None -> acc)
+      0
+      (Lq_trace.Trace.spans (traced ?prov engine q))
   in
   let full = run H.engine in
   let buffered = run H.engine_buffered in
@@ -124,10 +140,8 @@ let test_staging_footprint () =
      scale — force a bigger input to see the difference *)
   let big = Lq_testkit.sales_catalog ~n:20000 () in
   let bigprov = Lq_core.Provider.create big in
-  ignore (Lq_core.Provider.run bigprov ~engine:H.engine q);
-  let full_big = H.staged_bytes () in
-  ignore (Lq_core.Provider.run bigprov ~engine:H.engine_buffered q);
-  let buf_big = H.staged_bytes () in
+  let full_big = run ~prov:bigprov H.engine in
+  let buf_big = run ~prov:bigprov H.engine_buffered in
   check_bool "at scale: full > buffered" true (full_big > buf_big)
 
 (* --- Min construction --- *)
@@ -191,7 +205,7 @@ let test_min_refuses_complex () =
     | exception Engine_intf.Unsupported _ -> true
     | _ -> false)
 
-(* --- profiled run exposes the paper's phases --- *)
+(* --- a traced run exposes the paper's phases --- *)
 
 let test_phase_breakdown () =
   let q =
@@ -200,9 +214,7 @@ let test_phase_breakdown () =
     |> group_by ~key:("s", v "s" $. "city")
          ~result:("g", record [ ("c", v "g" $. "Key"); ("n", count (v "g")) ])
   in
-  let profile = Lq_metrics.Profile.create () in
-  ignore (Lq_core.Provider.run prov ~engine:H.engine ~profile q);
-  let names = List.map fst (Lq_metrics.Profile.phases profile) in
+  let names = List.map fst (Lq_trace.Trace.phases (traced H.engine q)) in
   List.iter
     (fun phase -> check_bool ("phase " ^ phase) true (List.mem phase names))
     [ "Iterate data (C#)"; "Apply predicates (C#)"; "Data staging (C#)";
